@@ -6,10 +6,9 @@
 //! registration is a poor fit for heterogeneous V2V pairs.
 
 use bba_geometry::{fit_rigid_2d, Iso2, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// ICP parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IcpConfig {
     /// Maximum iterations.
     pub max_iterations: usize,
@@ -27,7 +26,7 @@ impl Default for IcpConfig {
 }
 
 /// ICP output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IcpResult {
     /// Estimated transform mapping `src` onto `dst` (includes the initial
     /// guess).

@@ -1,12 +1,11 @@
 //! VIPS-style spectral graph matching for relative pose estimation.
 
 use bba_geometry::{fit_rigid_2d, Iso2, Vec2};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// Parameters of the spectral matcher.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VipsConfig {
     /// Distance-consistency kernel width σ (m): affinity between candidate
     /// correspondences `(i,a)` and `(j,b)` is
@@ -36,7 +35,7 @@ impl Default for VipsConfig {
 }
 
 /// Output of the spectral matcher.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VipsResult {
     /// Estimated rigid transform mapping `src` (other car) centres onto
     /// `dst` (ego) centres.

@@ -103,7 +103,7 @@ fn main() {
          median accuracy; the half-duty-cycle track stays usable, halving compute."
     );
 
-    use serde_json::Value;
+    use bba_obs::json::Value;
     let float = |v: Option<f64>| v.map_or(Value::Null, Value::Float);
     let estimator = |label: &str, v: &[f64], gross: Option<usize>| {
         Value::Map(vec![

@@ -259,7 +259,7 @@ fn main() {
         hist.map_or(0, |h| h.count),
     );
 
-    use serde_json::Value;
+    use bba_obs::json::Value;
     let float = |v: Option<f64>| v.map_or(Value::Null, Value::Float);
     let metrics = write_metrics_json("fleet_scale", &snapshot);
     write_results_json(

@@ -300,7 +300,7 @@ fn main() {
         "gated service: {admitted} admitted, {gated} gated, {processed} processed — ledger conserved",
     );
 
-    use serde_json::Value;
+    use bba_obs::json::Value;
     let float = |v: Option<f64>| v.map_or(Value::Null, Value::Float);
     let snapshot = recorder.snapshot();
     let metrics = write_metrics_json("place_recognition", &snapshot);

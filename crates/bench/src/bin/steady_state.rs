@@ -235,7 +235,7 @@ fn main() {
         snapshot.counter("warmstart.fallback").unwrap_or(0),
     );
 
-    use serde_json::Value;
+    use bba_obs::json::Value;
     let float = |v: Option<f64>| v.map_or(Value::Null, Value::Float);
     let metrics = write_metrics_json("steady_state", &snapshot);
     write_results_json(

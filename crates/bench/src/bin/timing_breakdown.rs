@@ -231,7 +231,7 @@ fn main() {
     }
     print_table(&rows);
 
-    use serde_json::Value;
+    use bba_obs::json::Value;
     let float = |v: Option<f64>| v.map_or(Value::Null, Value::Float);
     let metrics = write_metrics_json("timing_breakdown", &recorder.snapshot());
     write_results_json(

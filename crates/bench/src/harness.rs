@@ -10,14 +10,14 @@ use bb_align::{BbAlign, BbAlignConfig, PerceptionFrame, Recovery};
 use bba_baselines::vips::{vips_match, VipsConfig};
 use bba_dataset::{Dataset, DatasetConfig, FramePair};
 use bba_geometry::Vec2;
+use bba_obs::json::Value;
 use bba_scene::{ScenarioConfig, ScenarioPreset};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// What a pool evaluates per frame pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PairRecord {
     /// Pool index of the pair.
     pub index: usize,
@@ -33,7 +33,7 @@ pub struct PairRecord {
 }
 
 /// BB-Align per-pair statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryStats {
     /// Final translation error (m).
     pub dt: f64,
@@ -53,6 +53,45 @@ pub struct RecoveryStats {
     pub success: bool,
     /// Wall-clock recovery time (ms), excluding simulation.
     pub elapsed_ms: f64,
+}
+
+impl PairRecord {
+    /// The record as a JSON object with one member per field, in
+    /// declaration order: `bb` is `null` when stage 1 failed and `vips` is
+    /// `null` or a `[translation, rotation]` array.
+    pub fn to_json(&self) -> Value {
+        Value::Map(vec![
+            ("index".into(), Value::UInt(self.index as u64)),
+            ("distance".into(), Value::Float(self.distance)),
+            ("common_cars".into(), Value::UInt(self.common_cars as u64)),
+            ("bb".into(), self.bb.as_ref().map_or(Value::Null, RecoveryStats::to_json)),
+            (
+                "vips".into(),
+                self.vips.map_or(Value::Null, |(dt, dr)| {
+                    Value::Seq(vec![Value::Float(dt), Value::Float(dr)])
+                }),
+            ),
+        ])
+    }
+}
+
+impl RecoveryStats {
+    /// The stats as a JSON object with one member per field, in
+    /// declaration order.
+    pub fn to_json(&self) -> Value {
+        let count = |n: usize| Value::UInt(n as u64);
+        Value::Map(vec![
+            ("dt".into(), Value::Float(self.dt)),
+            ("dr".into(), Value::Float(self.dr)),
+            ("stage1_dt".into(), Value::Float(self.stage1_dt)),
+            ("stage1_dr".into(), Value::Float(self.stage1_dr)),
+            ("inliers_bv".into(), count(self.inliers_bv)),
+            ("inliers_box".into(), count(self.inliers_box)),
+            ("box_pairs".into(), count(self.box_pairs)),
+            ("success".into(), Value::Bool(self.success)),
+            ("elapsed_ms".into(), Value::Float(self.elapsed_ms)),
+        ])
+    }
 }
 
 /// Pool configuration.
@@ -205,12 +244,12 @@ pub fn run_pool(cfg: &PoolConfig) -> Vec<PairRecord> {
 /// the printed tables.
 pub fn maybe_dump_json(records: &[PairRecord], opts: &crate::cli::Options) {
     let Some(path) = &opts.json else { return };
-    match serde_json::to_string_pretty(records) {
-        Ok(json) => match std::fs::write(path, json) {
-            Ok(()) => eprintln!("wrote {} records to {}", records.len(), path.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-        },
-        Err(e) => eprintln!("failed to serialise records: {e}"),
+    let json = bba_obs::json::to_string_pretty(&Value::Seq(
+        records.iter().map(PairRecord::to_json).collect(),
+    ));
+    match std::fs::write(path, json) {
+        Ok(()) => eprintln!("wrote {} records to {}", records.len(), path.display()),
+        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
     }
 }
 

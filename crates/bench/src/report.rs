@@ -1,4 +1,6 @@
-//! Aligned plain-text tables for experiment output.
+//! Aligned plain-text tables and JSON result files for experiment output.
+
+use bba_obs::json::{self, Value};
 
 /// Prints a header banner for an experiment, including the active SIMD
 /// kernel dispatch — perf numbers from an `avx2` host and a `portable`
@@ -81,29 +83,26 @@ pub fn opt(v: Option<f64>, decimals: usize) -> String {
 ///
 /// Errors are reported on stderr but never fail the benchmark — a missing
 /// `results/` directory on an ad-hoc machine must not kill a run.
-pub fn write_results_json(name: &str, value: &serde_json::Value) {
+pub fn write_results_json(name: &str, value: &Value) {
     let dir = std::path::Path::new("results");
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("failed to create results/: {e}");
         return;
     }
     let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => match std::fs::write(&path, json + "\n") {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-        },
-        Err(e) => eprintln!("failed to serialise {name} results: {e}"),
+    match std::fs::write(&path, json::to_string_pretty(value) + "\n") {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("failed to write {}: {e}", path.display()),
     }
 }
 
 /// Writes an observability snapshot to `results/metrics_<name>.json` (the
 /// per-run health artifact CI's bench-smoke job uploads) and returns it
-/// re-parsed as a [`serde_json::Value`] so callers can also merge it into
+/// re-parsed as a [`Value`] so callers can also merge it into
 /// their main results blob. Follows the same never-fail policy as
 /// [`write_results_json`]; the returned value is `Null` when the snapshot
 /// JSON fails to parse (it shouldn't — the exporter emits strict JSON).
-pub fn write_metrics_json(name: &str, snapshot: &bba_obs::MetricsSnapshot) -> serde_json::Value {
+pub fn write_metrics_json(name: &str, snapshot: &bba_obs::MetricsSnapshot) -> Value {
     let dir = std::path::Path::new("results");
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("failed to create results/: {e}");
@@ -114,20 +113,19 @@ pub fn write_metrics_json(name: &str, snapshot: &bba_obs::MetricsSnapshot) -> se
             Err(e) => eprintln!("failed to write {}: {e}", path.display()),
         }
     }
-    serde_json::from_str(&snapshot.to_json()).unwrap_or(serde_json::Value::Null)
+    json::parse(&snapshot.to_json()).unwrap_or(Value::Null)
 }
 
 /// Recursively searches a JSON value for a map that binds the same key
 /// twice, returning the path of the first offender (e.g.
 /// `phases[2].median_1thr_ms`) or `None` when every map is well-formed.
 ///
-/// The vendored `serde_json` represents objects as ordered `(key, value)`
-/// pairs and will happily serialise duplicates — which is how
+/// [`Value::Map`] keeps objects as ordered `(key, value)` pairs and the
+/// printer writes duplicates as they are — which is how
 /// `timing_breakdown` once emitted two `median_1thr_ms` fields per phase on
 /// a single-thread host. Result writers (and the results-schema test) use
 /// this to reject such records.
-pub fn duplicate_key_path(value: &serde_json::Value) -> Option<String> {
-    use serde_json::Value;
+pub fn duplicate_key_path(value: &Value) -> Option<String> {
     fn walk(v: &Value, path: &str) -> Option<String> {
         match v {
             Value::Map(entries) => {
@@ -191,7 +189,6 @@ mod tests {
 
     #[test]
     fn duplicate_keys_are_detected_with_their_path() {
-        use serde_json::Value;
         let clean = Value::Map(vec![
             ("a".into(), Value::UInt(1)),
             (

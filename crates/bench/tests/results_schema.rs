@@ -1,14 +1,14 @@
 //! Schema checks for the checked-in `results/timing_breakdown.json`.
 //!
-//! The vendored `serde_json` keeps objects as ordered `(key, value)` pairs
-//! and will serialise duplicate keys without complaint, which is how the
+//! `bba_obs::json` keeps objects as ordered `(key, value)` pairs and
+//! will print duplicate keys without complaint, which is how the
 //! breakdown once emitted two `median_1thr_ms` fields per phase on a
 //! 1-thread host. This test parses every phase record of the committed
 //! artifact and rejects duplicate keys anywhere in the document, so a
 //! regression cannot land silently again.
 
 use bba_bench::report::duplicate_key_path;
-use serde_json::Value;
+use bba_obs::json::{self, Value};
 
 fn results_path() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/timing_breakdown.json")
@@ -22,7 +22,7 @@ fn field<'a>(entries: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
 fn timing_breakdown_phases_have_unique_well_formed_keys() {
     let raw = std::fs::read_to_string(results_path())
         .expect("results/timing_breakdown.json is committed alongside the code");
-    let doc: Value = serde_json::from_str(&raw).expect("artifact parses as JSON");
+    let doc: Value = json::parse(&raw).expect("artifact parses as JSON");
 
     assert_eq!(
         duplicate_key_path(&doc),

@@ -1,7 +1,6 @@
 //! BEV rasterisation geometry: range, cell size, pixel↔world mapping.
 
 use bba_geometry::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a BEV raster: cells of size `resolution` covering
 /// `[-range, range]²` around the sensor.
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// The image side length is `H = 2·range / resolution` (the paper's
 /// `H = 2R/c`); configurations are chosen so `H` is a power of two, which
 /// the FFT-based Log-Gabor filtering requires.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BevConfig {
     /// Half-extent `R` of the rasterised square (m).
     pub range: f64,

@@ -3,10 +3,9 @@
 use crate::config::BevConfig;
 use bba_geometry::Vec3;
 use bba_signal::Grid;
-use serde::{Deserialize, Serialize};
 
 /// Rasterisation mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BevMode {
     /// Pixel = maximum point height in the cell (the paper's choice;
     /// Eq. (4)).
@@ -22,7 +21,7 @@ pub enum BevMode {
 /// # Example
 ///
 /// See the [crate-level example](crate).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BevImage {
     grid: Grid<f64>,
     config: BevConfig,

@@ -3,10 +3,9 @@
 use bba_bev::{BevConfig, BevMode};
 use bba_features::{DescriptorConfig, KeypointConfig, MatcherConfig, RansacConfig};
 use bba_signal::LogGaborConfig;
-use serde::{Deserialize, Serialize};
 
 /// Where stage 1 detects its keypoints.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KeypointSource {
     /// On the Log-Gabor amplitude map (normalised to max 1). The amplitude
     /// map is a smooth band-pass response, so FAST corners on it are far
@@ -20,7 +19,7 @@ pub enum KeypointSource {
 }
 
 /// How stage 2 builds correspondences from paired boxes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BoxPairing {
     /// Four canonical corners per box pair (the paper's design): corners
     /// carry orientation information, so even two boxes constrain rotation.
@@ -38,7 +37,7 @@ pub enum BoxPairing {
 /// success thresholds `Inliers_bv > 25` ∧ `Inliers_box > 6`. The descriptor
 /// patch is `J = 48` px at the default 0.4 m/px raster (the paper's
 /// `J = 96` at its finer raster covers a similar metric footprint).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BbAlignConfig {
     /// BV rasterisation geometry.
     pub bev: BevConfig,

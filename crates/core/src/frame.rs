@@ -7,10 +7,9 @@
 
 use bba_bev::BevImage;
 use bba_geometry::BevBox;
-use serde::{Deserialize, Serialize};
 
 /// A detected BEV box with its confidence, as transmitted.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameBox {
     /// The BEV rectangle (sensor frame).
     pub bev: BevBox,
@@ -19,7 +18,7 @@ pub struct FrameBox {
 }
 
 /// One car's transmissible perception payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerceptionFrame {
     bev: BevImage,
     boxes: Vec<FrameBox>,

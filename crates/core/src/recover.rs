@@ -12,14 +12,13 @@ use bba_obs::Recorder;
 use bba_signal::{FftWorkspace, LogGaborBank, MaxIndexMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Stage-1 result: the BV image-matching alignment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BvMatch {
     /// Coarse alignment `T_bv` in metres (other → ego).
     pub transform: Iso2,
@@ -39,7 +38,7 @@ pub struct BvMatch {
 /// entries accumulate over every rotation hypothesis actually swept. Pure
 /// instrumentation — the timed and untimed paths execute the same
 /// operations on the same data, so results are unaffected.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Stage1Timing {
     /// Log-Gabor MIM computation for both BV images (ms).
     pub mim_ms: f64,
@@ -59,7 +58,7 @@ pub struct Stage1Timing {
 }
 
 /// Stage-2 result: the box-corner refinement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BoxAlignment {
     /// Refinement `T_box` in metres (applied after `T_bv`).
     pub transform: Iso2,
@@ -70,7 +69,7 @@ pub struct BoxAlignment {
 }
 
 /// The full recovery output.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Recovery {
     /// The recovered relative pose `T_2D = T_box × T_bv` (other → ego).
     pub transform: Iso2,
@@ -105,7 +104,7 @@ impl Recovery {
 }
 
 /// Which path produced a [`WarmRecovery`] — see [`BbAlign::recover_warm`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryPath {
     /// The tracker-predicted transform passed direct verification; stage 1
     /// (MIM / detect / describe / match / RANSAC) was skipped entirely.
@@ -121,7 +120,7 @@ pub enum RecoveryPath {
 }
 
 /// A [`Recovery`] annotated with the path that produced it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WarmRecovery {
     /// The recovery result (same invariants as [`BbAlign::recover`]'s).
     pub recovery: Recovery,
@@ -1170,13 +1169,6 @@ impl AlignmentScorer {
         }
         hits as f64 / mapped as f64
     }
-}
-
-/// One-shot convenience wrapper: builds an [`AlignmentScorer`] for `ego`
-/// and scores `transform`. Prefer the scorer directly when evaluating
-/// several candidate transforms against the same ego image.
-pub fn alignment_score(ego: &BevImage, other: &BevImage, transform: &Iso2) -> f64 {
-    AlignmentScorer::new(ego).score(other, transform)
 }
 
 #[cfg(test)]

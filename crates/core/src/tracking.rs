@@ -25,10 +25,9 @@
 
 use crate::recover::Recovery;
 use bba_geometry::{angle_diff, normalize_angle, Iso2, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// Tracker parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackerConfig {
     /// Base blend gain for a barely-confident measurement (0..1).
     pub min_gain: f64,
@@ -166,7 +165,7 @@ impl TrackerConfig {
 }
 
 /// Outcome of feeding one measurement to the tracker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrackUpdate {
     /// First measurement: the track was initialised.
     Initialized,
@@ -199,14 +198,14 @@ pub enum TrackUpdate {
 /// let p = tracker.predict(4.0).unwrap();
 /// assert!((p.translation().x - 48.0).abs() < 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PoseTracker {
     config: TrackerConfig,
     state: Option<TrackState>,
     gated_streak: usize,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct TrackState {
     time: f64,
     translation: Vec2,

@@ -9,12 +9,11 @@
 use crate::frame::{FrameBox, PerceptionFrame};
 use bba_bev::{BevConfig, BevImage, BevMode};
 use bba_geometry::{BevBox, Vec2};
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 
 /// Per-frame wire-size comparison between transmission strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WireReport {
     /// Raw point cloud (3 × f32 per point) — early fusion's payload.
     pub raw_cloud_bytes: usize,
@@ -65,6 +64,9 @@ pub enum DecodeError {
     BadHeader,
     /// A cell index lay outside the declared raster.
     CellOutOfRange,
+    /// A box field (center, extent, yaw or confidence) was NaN or
+    /// infinite.
+    NonFiniteBox,
 }
 
 impl fmt::Display for DecodeError {
@@ -73,6 +75,7 @@ impl fmt::Display for DecodeError {
             DecodeError::Truncated => write!(f, "payload truncated"),
             DecodeError::BadHeader => write!(f, "bad magic or unsupported version"),
             DecodeError::CellOutOfRange => write!(f, "cell index outside raster"),
+            DecodeError::NonFiniteBox => write!(f, "non-finite box field"),
         }
     }
 }
@@ -151,8 +154,8 @@ pub fn box_wire_bytes() -> usize {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on truncation, bad header, or out-of-raster
-/// cell indices.
+/// Returns [`DecodeError`] on truncation, bad header, out-of-raster
+/// cell indices, or a non-finite box field.
 pub fn decode_frame(bytes: &[u8]) -> Result<PerceptionFrame, DecodeError> {
     let mut cursor = 0usize;
     let take = |cursor: &mut usize, n: usize| -> Result<&[u8], DecodeError> {
@@ -190,7 +193,12 @@ pub fn decode_frame(bytes: &[u8]) -> Result<PerceptionFrame, DecodeError> {
     for _ in 0..n_boxes {
         let mut vals = [0.0f64; 6];
         for v in &mut vals {
-            *v = f32_at(take(&mut cursor, 4)?) as f64;
+            let x = f32_at(take(&mut cursor, 4)?);
+            // NaN would survive the extent floor and the confidence clamp.
+            if !x.is_finite() {
+                return Err(DecodeError::NonFiniteBox);
+            }
+            *v = x as f64;
         }
         boxes.push(FrameBox {
             bev: BevBox::new(
@@ -311,6 +319,25 @@ mod tests {
         let frame = frame_with_occupancy(50);
         let bytes = encode_frame(&frame);
         assert_eq!(decode_frame(&bytes[..bytes.len() - 3]).unwrap_err(), DecodeError::Truncated);
+    }
+
+    #[test]
+    fn decode_rejects_non_finite_box_fields() {
+        let bytes = encode_frame(&frame_with_occupancy(50));
+        let first_box = bytes.len() - box_wire_bytes();
+        for field in 0..6 {
+            for bad in [f32::NAN, f32::INFINITY] {
+                let mut patched = bytes.clone();
+                let at = first_box + 4 * field;
+                patched[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+                assert_eq!(
+                    decode_frame(&patched).unwrap_err(),
+                    DecodeError::NonFiniteBox,
+                    "field {field} = {bad} decoded"
+                );
+            }
+        }
+        assert!(decode_frame(&bytes).is_ok());
     }
 
     #[test]

@@ -14,10 +14,9 @@ use bba_lidar::{Scan, Scanner};
 use bba_scene::{FleetConfig, FleetScenario, ObstacleId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Fleet dataset generation parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetDatasetConfig {
     /// Fleet scenario (world + N agent vehicles).
     pub fleet: FleetConfig,
@@ -37,7 +36,7 @@ impl FleetDatasetConfig {
 }
 
 /// One synchronized N-car frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetFrame {
     /// Timestamp (s since scenario start).
     pub time: f64,

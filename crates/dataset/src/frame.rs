@@ -6,10 +6,9 @@ use bba_lidar::{LidarConfig, Scan, Scanner};
 use bba_scene::{ObstacleId, Scenario, ScenarioConfig, ScenarioPreset};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// One car's view at one timestamp.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AgentFrame {
     /// The LiDAR sweep (sensor frame).
     pub scan: Scan,
@@ -22,7 +21,7 @@ pub struct AgentFrame {
 }
 
 /// One synchronized two-car frame: the dataset unit of every experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FramePair {
     /// Timestamp (s since scenario start).
     pub time: f64,
@@ -52,7 +51,7 @@ impl FramePair {
 }
 
 /// Dataset generation parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetConfig {
     /// Scenario parameters (world + agents).
     pub scenario: ScenarioConfig,

@@ -3,7 +3,6 @@
 use bba_geometry::Iso2;
 use bba_scene::GaussianSampler;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Zero-mean Gaussian pose noise (`σ_t` metres on each translation axis,
 /// `σ_θ` radians on heading) — the corruption model of the paper's Table I
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let (dt, _) = corrupted.error_to(&truth);
 /// assert!(dt > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoseNoise {
     /// Standard deviation of translation noise per axis (m).
     pub sigma_t: f64,

@@ -10,17 +10,16 @@
 
 use crate::detector::Detection;
 use bba_geometry::Box3;
-use serde::{Deserialize, Serialize};
 
 /// A ground-truth object for evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroundTruthBox {
     /// The true box, in the same frame as the detections being evaluated.
     pub box3: Box3,
 }
 
 /// A distance band `[min, max)` from the ego sensor, in metres.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RangeBand {
     /// Inclusive lower bound (m).
     pub min: f64,
@@ -47,7 +46,7 @@ impl RangeBand {
 }
 
 /// Result of an AP evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApResult {
     /// Average precision in `[0, 1]`.
     pub ap: f64,

@@ -4,10 +4,9 @@ use bba_geometry::{Box3, Vec2, Vec3};
 use bba_lidar::Scan;
 use bba_scene::{GaussianSampler, ObstacleId, Trajectory, World};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Detection-model profiles mirroring the paper's two detectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DetectorModel {
     /// coBEVT-like: higher recall, lower box noise (the paper's default).
     #[default]
@@ -66,7 +65,7 @@ impl DetectorModel {
 
 /// A detected object: a 3-D box in the scan's sensor frame plus a
 /// confidence score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Detection {
     /// Detected box in the sensor frame.
     pub box3: Box3,

@@ -25,11 +25,10 @@
 
 use crate::keypoints::Keypoint;
 use bba_signal::MaxIndexMap;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// How each MIM sample contributes to its histogram bin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SampleWeighting {
     /// Weight by Log-Gabor amplitude (raw evidence strength).
     Amplitude,
@@ -42,7 +41,7 @@ pub enum SampleWeighting {
 }
 
 /// Descriptor parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DescriptorConfig {
     /// Patch side length `J` in pixels (paper default 96 at 0.2 m/px; scale
     /// with resolution).
@@ -72,7 +71,7 @@ impl Default for DescriptorConfig {
 }
 
 /// A descriptor vector plus the keypoint it belongs to.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Descriptor {
     /// The keypoint this descriptor was computed at.
     pub keypoint: Keypoint,

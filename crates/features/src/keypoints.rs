@@ -8,7 +8,6 @@
 //! ground), which is exactly the structure stage 1 keys on.
 
 use bba_signal::Grid;
-use serde::{Deserialize, Serialize};
 
 /// The 16-pixel Bresenham circle of radius 3 used by FAST.
 const CIRCLE: [(i32, i32); 16] = [
@@ -31,7 +30,7 @@ const CIRCLE: [(i32, i32); 16] = [
 ];
 
 /// A detected keypoint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Keypoint {
     /// Column (pixel).
     pub u: usize,
@@ -43,7 +42,7 @@ pub struct Keypoint {
 }
 
 /// Detector parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KeypointConfig {
     /// Intensity contrast threshold `t`.
     pub threshold: f64,

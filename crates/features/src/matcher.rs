@@ -28,11 +28,10 @@
 
 use crate::descriptor::Descriptor;
 use crate::sweep::DescriptorSet;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// A correspondence between descriptor indices of two sets.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Match {
     /// Index into the source (other car) descriptor set.
     pub src: usize,
@@ -43,7 +42,7 @@ pub struct Match {
 }
 
 /// Matching parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MatcherConfig {
     /// Lowe ratio: accept only when `best / second_best < ratio`.
     /// Set to 1.0 to disable.

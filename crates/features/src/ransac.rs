@@ -24,7 +24,6 @@
 
 use bba_geometry::{fit_rigid_2d, fit_rigid_2pt, Iso2, Vec2};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::error::Error;
@@ -33,7 +32,7 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// RANSAC parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RansacConfig {
     /// Maximum sampling iterations.
     pub max_iterations: usize,
@@ -59,7 +58,7 @@ impl Default for RansacConfig {
 }
 
 /// RANSAC output: the refit transform plus its consensus set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RansacResult {
     /// The rigid transform refit on all inliers.
     pub transform: Iso2,

@@ -6,10 +6,9 @@ use bba_geometry::{obb_iou, Box3, Iso2, Vec3};
 use bba_obs::Recorder;
 use bba_scene::GaussianSampler;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The fusion families of the paper's Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FusionMethod {
     /// Merge raw point clouds, then detect.
     Early,

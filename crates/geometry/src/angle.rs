@@ -4,7 +4,6 @@
 //! difference* (rotation error), so correct wrapping at the ±π seam matters
 //! throughout the codebase.
 
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 use std::fmt;
 
@@ -46,11 +45,11 @@ pub fn angle_diff(a: f64, b: f64) -> f64 {
 /// let r = Radians(std::f64::consts::PI);
 /// assert!((r.to_degrees().0 - 180.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Radians(pub f64);
 
 /// An angle expressed in degrees (newtype for API clarity).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Degrees(pub f64);
 
 impl Radians {

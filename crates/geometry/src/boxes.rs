@@ -13,7 +13,6 @@
 use crate::angle::normalize_angle;
 use crate::iso::Iso2;
 use crate::vec::{Vec2, Vec3};
-use serde::{Deserialize, Serialize};
 use std::f64::consts::{FRAC_PI_2, PI};
 
 /// An oriented rectangle on the ground plane (a bird's-eye-view box).
@@ -27,7 +26,7 @@ use std::f64::consts::{FRAC_PI_2, PI};
 /// assert!(b.contains(Vec2::new(11.0, 5.5)));
 /// assert!(!b.contains(Vec2::new(20.0, 5.0)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BevBox {
     /// Centre of the rectangle (metres).
     pub center: Vec2,
@@ -148,7 +147,7 @@ pub fn canonical_yaw(yaw: f64) -> f64 {
 /// let bev = car.to_bev();
 /// assert_eq!(bev.center, Vec2::new(4.0, 2.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Box3 {
     /// Centre of the box (metres); `center.z` is the mid-height.
     pub center: Vec3,

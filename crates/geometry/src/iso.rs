@@ -7,7 +7,6 @@
 
 use crate::angle::normalize_angle;
 use crate::vec::{Vec2, Vec3};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A rigid transform on the ground plane: rotation by `yaw` followed by
@@ -26,7 +25,7 @@ use std::fmt;
 /// let roundtrip = t.inverse().apply(t.apply(p));
 /// assert!((roundtrip - p).norm() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Iso2 {
     /// Rotation angle `α` in radians, wrapped to `(-π, π]`.
     yaw: f64,
@@ -46,11 +45,6 @@ impl Iso2 {
     /// Creates a pure translation.
     pub fn from_translation(translation: Vec2) -> Self {
         Iso2 { yaw: 0.0, translation }
-    }
-
-    /// Creates a pure rotation about the origin.
-    pub fn from_yaw(yaw: f64) -> Self {
-        Iso2::new(yaw, Vec2::ZERO)
     }
 
     /// A vehicle pose: position + heading. Identical representation, reads
@@ -75,12 +69,6 @@ impl Iso2 {
     #[inline]
     pub fn apply(&self, p: Vec2) -> Vec2 {
         p.rotated(self.yaw) + self.translation
-    }
-
-    /// Applies only the rotation part (for direction vectors).
-    #[inline]
-    pub fn rotate(&self, v: Vec2) -> Vec2 {
-        v.rotated(self.yaw)
     }
 
     /// Composition: `self ∘ rhs` (apply `rhs` first, then `self`).
@@ -170,7 +158,7 @@ impl fmt::Display for Iso2 {
 /// assert!((q.xy() - t2.apply(p.xy())).norm() < 1e-12);
 /// assert!((q.z - 0.7).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Iso3 {
     m: [[f64; 4]; 4],
 }

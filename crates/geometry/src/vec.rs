@@ -4,7 +4,6 @@
 //! simulator and the matching pipeline only need a handful of operations and
 //! the explicit field access keeps the numeric code readable.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A 2-D vector / point on the ground (bird's-eye-view) plane.
@@ -17,7 +16,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 /// assert_eq!(v.norm(), 5.0);
 /// assert_eq!(v.perp().dot(v), 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// Cartesian x (forward in the ego frame, metres).
     pub x: f64,
@@ -207,7 +206,7 @@ impl From<Vec2> for (f64, f64) {
 /// let p = Vec3::new(1.0, 2.0, 3.0);
 /// assert_eq!(p.xy().x, 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// Cartesian x (metres).
     pub x: f64,

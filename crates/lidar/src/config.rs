@@ -1,14 +1,12 @@
 //! Sensor models: channel layout, resolution, range, noise.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of a spinning LiDAR.
 ///
 /// The presets model the heterogeneous sensor pairs of real V2V fleets (the
 /// paper stresses that "vehicles may be equipped with different Lidar
 /// systems", which defeats point-based registration but not BV image
 /// matching).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LidarConfig {
     /// Number of vertical channels (beams).
     pub channels: usize,

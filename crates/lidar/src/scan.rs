@@ -3,10 +3,9 @@
 use crate::config::LidarConfig;
 use bba_geometry::{Iso2, Iso3, Vec3};
 use bba_scene::ObstacleId;
-use serde::{Deserialize, Serialize};
 
 /// One LiDAR return.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScanPoint {
     /// Position in the scan's nominal sensor frame (sensor at origin,
     /// x forward at scan start, z up; metres).
@@ -26,7 +25,7 @@ pub struct ScanPoint {
 /// consistent with a single rigid pose — points fired late in the sweep are
 /// expressed in the instantaneous frame at their firing time but merged
 /// into this one cloud, exactly as a real (un-deskewed) LiDAR driver does.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scan {
     points: Vec<ScanPoint>,
     sensor_pose: Iso2,

@@ -149,11 +149,6 @@ impl HarnessReport {
         })
     }
 
-    /// Fraction of ticks with *some* pose estimate (recovery or track).
-    pub fn pose_available_rate(&self) -> f64 {
-        self.rate(|o| o.pose.is_some())
-    }
-
     fn rate(&self, f: impl Fn(&FrameOutcome) -> bool) -> f64 {
         if self.outcomes.is_empty() {
             return 0.0;

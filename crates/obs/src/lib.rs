@@ -33,7 +33,9 @@
 //! [`MetricsSnapshot::to_json`] renders it as JSON (hand-rolled — this
 //! crate stays dependency-free) and [`MetricsSnapshot::write_json`] puts
 //! it on disk, which is how the bench binaries produce the
-//! `results/metrics_*.json` health artifacts CI uploads.
+//! `results/metrics_*.json` health artifacts CI uploads. The [`json`]
+//! module holds the workspace's only JSON printer and parser; the bench
+//! binaries write their result records through it.
 //!
 //! # Example
 //!
@@ -54,6 +56,9 @@
 
 #![warn(missing_docs)]
 
+pub mod json;
+
+use json::{push_f64, push_str_json};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -532,41 +537,6 @@ fn push_close(out: &mut String, empty: bool, indent: &str) {
     out.push('}');
 }
 
-/// Appends `v` as a JSON number (`null` for non-finite values, which JSON
-/// cannot represent).
-fn push_f64(out: &mut String, v: f64) {
-    if !v.is_finite() {
-        out.push_str("null");
-        return;
-    }
-    let start = out.len();
-    let _ = write!(out, "{v}");
-    // `{}` prints integral floats without a decimal point; keep the value
-    // unambiguously a float for downstream parsers.
-    if !out[start..].contains(['.', 'e', 'E']) {
-        out.push_str(".0");
-    }
-}
-
-/// Appends `s` as a JSON string literal.
-fn push_str_json(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -766,8 +736,8 @@ mod tests {
             let _s = obs.span("recover");
         }
         let json = obs.snapshot().to_json();
-        let v: serde_json::Value = serde_json::from_str(&json).expect("snapshot JSON must parse");
-        let serde_json::Value::Map(members) = v else { panic!("top level must be an object") };
+        let v: json::Value = json::parse(&json).expect("snapshot JSON must parse");
+        let json::Value::Map(members) = v else { panic!("top level must be an object") };
         let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, ["counters", "gauges", "spans", "values"]);
     }
@@ -775,11 +745,11 @@ mod tests {
     #[test]
     fn empty_snapshot_renders_empty_objects() {
         let json = Recorder::enabled().snapshot().to_json();
-        let v: serde_json::Value = serde_json::from_str(&json).expect("empty snapshot parses");
-        let serde_json::Value::Map(members) = v else { panic!("top level must be an object") };
+        let v: json::Value = json::parse(&json).expect("empty snapshot parses");
+        let json::Value::Map(members) = v else { panic!("top level must be an object") };
         assert_eq!(members.len(), 4);
         for (k, m) in members {
-            assert_eq!(m, serde_json::Value::Map(Vec::new()), "member {k} should be empty");
+            assert_eq!(m, json::Value::Map(Vec::new()), "member {k} should be empty");
         }
     }
 
@@ -788,9 +758,9 @@ mod tests {
         let obs = Recorder::enabled();
         obs.incr("weird\"name\\with\nnewline");
         let json = obs.snapshot().to_json();
-        let v: serde_json::Value = serde_json::from_str(&json).expect("escaped JSON parses");
-        let serde_json::Value::Map(members) = v else { panic!("object") };
-        let serde_json::Value::Map(counters) = &members[0].1 else { panic!("counters object") };
+        let v: json::Value = json::parse(&json).expect("escaped JSON parses");
+        let json::Value::Map(members) = v else { panic!("object") };
+        let json::Value::Map(counters) = &members[0].1 else { panic!("counters object") };
         assert_eq!(counters[0].0, "weird\"name\\with\nnewline");
     }
 }

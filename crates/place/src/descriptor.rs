@@ -43,10 +43,9 @@
 //! non-zeros, cheaper than a dense dot product).
 
 use bba_signal::MaxIndexMap;
-use serde::{Deserialize, Serialize};
 
 /// Tuning for descriptor extraction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlaceConfig {
     /// Strongest block winners kept as the constellation. More keypoints
     /// dilute the signature with unstable weak structure; fewer starve
@@ -83,7 +82,7 @@ impl Default for PlaceConfig {
 /// The vector lives in a `dims`-dimensional space fixed by the config
 /// and the filter bank; only the non-zero entries are stored, sorted by
 /// bin index and L2-normalised.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlaceDescriptor {
     /// Logical dimensionality: `distance_bins × (N_o/2 + 1) × relative_bins²`.
     dims: usize,

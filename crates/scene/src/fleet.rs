@@ -28,10 +28,9 @@ use crate::trajectory::Trajectory;
 use crate::world::{DynamicVehicle, World};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// How the appended (index ≥ 2) agent cars are placed along the road.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FleetPlacement {
     /// One coherent column behind the ego at uniform spacing — every
     /// consecutive pair overlaps heavily. The original fleet layout.
@@ -46,7 +45,7 @@ pub enum FleetPlacement {
 }
 
 /// Parameters of a fleet (platoon) scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Base two-car scenario (world, traffic, agents 0 and 1).
     pub scenario: ScenarioConfig,
@@ -125,7 +124,7 @@ impl FleetConfig {
 }
 
 /// A generated fleet: the base scenario's world plus N agent vehicles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetScenario {
     config: FleetConfig,
     world: World,

@@ -1,13 +1,12 @@
 //! World obstacles: what the LiDAR rays can hit.
 
 use bba_geometry::{Box3, Vec2, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of an obstacle within a [`crate::World`].
 ///
 /// Ground-truth detection matching (who observed which car) is keyed on
 /// these ids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObstacleId(pub u32);
 
 impl std::fmt::Display for ObstacleId {
@@ -17,7 +16,7 @@ impl std::fmt::Display for ObstacleId {
 }
 
 /// Semantic class of an obstacle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ObjectKind {
     /// A building — the dominant tall landmark for BV image matching.
     Building,
@@ -51,7 +50,7 @@ impl ObjectKind {
 }
 
 /// Geometric shape of an obstacle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Shape {
     /// An oriented 3-D box (buildings, vehicles, barriers).
     Box(Box3),
@@ -105,7 +104,7 @@ impl Shape {
 }
 
 /// An obstacle instance: id + class + shape.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Obstacle {
     /// Stable identifier within the world.
     pub id: ObstacleId,

@@ -8,7 +8,6 @@
 
 use crate::trajectory::Trajectory;
 use bba_geometry::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// A road centreline with constant curvature starting at the origin
 /// heading +x.
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// let bend = RoadFrame::new(1.0 / 200.0);
 /// assert!((bend.heading_at(100.0) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoadFrame {
     /// Signed curvature κ (1/m); positive bends left, 0 is straight.
     curvature: f64,

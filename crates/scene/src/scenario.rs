@@ -12,16 +12,15 @@
 //! * [`ScenarioPreset::OpenRural`] — few landmarks; the regime where the
 //!   paper reports unsuccessful recoveries (§V-A "vast open areas").
 
-use crate::objects::{car_box, ObjectKind, Obstacle, ObstacleId, Shape, CAR_EXTENTS};
+use crate::objects::{car_box, ObjectKind, Obstacle, ObstacleId, Shape};
 use crate::trajectory::Trajectory;
 use crate::world::{DynamicVehicle, World};
 use bba_geometry::{Box3, Vec2, Vec3};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Built-in scenario families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScenarioPreset {
     /// Dense downtown: many buildings, heavy traffic.
     Urban,
@@ -37,7 +36,7 @@ pub enum ScenarioPreset {
 }
 
 /// Direction of the other agent car relative to the ego car.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AgentHeading {
     /// Both cars drive the same way (following scenario; V2V4Real's most
     /// common configuration).
@@ -53,7 +52,7 @@ pub enum AgentHeading {
 /// sweeps (e.g. [`agent_separation`](Self::agent_separation) for the
 /// distance study, [`traffic_count`](Self::traffic_count) for the common-car
 /// study).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Length of the simulated road segment (m).
     pub road_length: f64,
@@ -203,7 +202,7 @@ impl Default for ScenarioConfig {
 }
 
 /// A generated scenario: the world plus the two cooperating cars.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     config: ScenarioConfig,
     world: World,
@@ -573,11 +572,6 @@ impl Scenario {
         let e = self.ego_trajectory.pose_at(t).translation();
         let o = self.other_trajectory.pose_at(t).translation();
         e.distance(o)
-    }
-
-    /// Approximate car height for mounting sensors (m).
-    pub fn sensor_mount_height() -> f64 {
-        CAR_EXTENTS.z + 0.3
     }
 }
 

@@ -6,7 +6,6 @@
 //! the sensor pose is sampled from the trajectory at the per-ray timestamps.
 
 use bba_geometry::{Iso2, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// A piecewise-linear trajectory through timed waypoints.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((pose.translation().x - 20.0).abs() < 1e-9);
 /// assert!(pose.yaw().abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
     /// `(time, position)` waypoints, strictly increasing in time.
     waypoints: Vec<(f64, Vec2)>,

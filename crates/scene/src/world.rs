@@ -3,10 +3,9 @@
 use crate::objects::{car_box, ObjectKind, Obstacle, ObstacleId, Shape};
 use crate::trajectory::Trajectory;
 use bba_geometry::Box3;
-use serde::{Deserialize, Serialize};
 
 /// A vehicle that moves through the world along a trajectory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicVehicle {
     /// Stable identifier (shared namespace with static obstacles).
     pub id: ObstacleId,
@@ -41,7 +40,7 @@ impl DynamicVehicle {
 /// let snap = world.snapshot_at(3.0);
 /// assert_eq!(snap.len(), world.static_obstacles().len() + world.dynamic_vehicles().len());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct World {
     statics: Vec<Obstacle>,
     dynamics: Vec<DynamicVehicle>,

@@ -1,6 +1,5 @@
 //! A minimal complex-number type for the FFT and frequency-domain filtering.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub};
 
 /// A complex number with `f64` components.
@@ -16,7 +15,7 @@ use std::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub};
 /// let i = Complex::new(0.0, 1.0);
 /// assert_eq!(i * i, Complex::new(-1.0, 0.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 #[repr(C)]
 pub struct Complex {
     /// Real part.

@@ -1,7 +1,6 @@
 //! A dense row-major 2-D array used for BV images, feature maps and fusion
 //! grids across the workspace.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Index, IndexMut};
 
 /// A dense 2-D grid of values, indexed as `(u, v)` = (column, row).
@@ -19,7 +18,7 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(g[(2, 1)], 7);
 /// assert_eq!(g.get(9, 9), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid<T> {
     width: usize,
     height: usize,
@@ -121,11 +120,6 @@ impl<T> Grid<T> {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
-    }
-
-    /// Consumes the grid, returning the buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
     }
 
     /// One row as a slice.

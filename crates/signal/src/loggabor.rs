@@ -24,14 +24,13 @@ use crate::complex::{as_floats, as_floats_mut, Complex};
 use crate::fft::{ifft2d_unscaled_into, rfft2d_into, FftError};
 use crate::grid::Grid;
 use crate::workspace::FftWorkspace;
-use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
 /// Configuration of the Log-Gabor filter bank.
 ///
 /// Defaults mirror the paper's evaluation setup (`N_s = 4`, `N_o = 12`) with
 /// Kovesi-style bandwidth constants.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogGaborConfig {
     /// Number of scales `N_s`.
     pub num_scales: usize,

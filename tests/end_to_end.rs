@@ -5,7 +5,7 @@ use bb_align::{BbAlign, BbAlignConfig};
 use bba_bev::BevConfig;
 use bba_dataset::{Dataset, DatasetConfig, PoseNoise};
 use bba_link::{ChannelConfig, HarnessConfig, V2vHarness};
-use bba_obs::Recorder;
+use bba_obs::{json, Recorder};
 use bba_scene::{AgentHeading, ScenarioConfig, ScenarioPreset};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -234,9 +234,8 @@ fn observed_link_run_emits_full_metrics_snapshot() {
     assert_eq!(snap.counter("harness.ticks"), Some(3));
     assert_eq!(snap.counter("fusion.frames"), Some(3));
 
-    let parsed: serde_json::Value =
-        serde_json::from_str(&snap.to_json()).expect("snapshot JSON must parse");
-    let serde_json::Value::Map(sections) = parsed else {
+    let parsed = json::parse(&snap.to_json()).expect("snapshot JSON must parse");
+    let json::Value::Map(sections) = parsed else {
         panic!("snapshot JSON should be an object");
     };
     let keys: Vec<&str> = sections.iter().map(|(k, _)| k.as_str()).collect();

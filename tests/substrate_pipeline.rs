@@ -1,10 +1,8 @@
 //! Integration tests across the substrate crates: scene → lidar → bev →
-//! signal → features, plus serialization round-trips of the data types
-//! that cross crate boundaries.
+//! signal → features.
 
 use bba_bev::{BevConfig, BevImage};
 use bba_dataset::{Dataset, DatasetConfig};
-use bba_geometry::{Iso2, Vec2};
 use bba_lidar::{LidarConfig, Scanner};
 use bba_scene::{Scenario, ScenarioConfig, ScenarioPreset};
 use bba_signal::{LogGaborConfig, MaxIndexMap};
@@ -118,23 +116,6 @@ fn detections_follow_scan_evidence() {
             assert!(pair.ego.scan.hits_on(id) >= 3, "detection of {id} without scan evidence");
         }
     }
-}
-
-#[test]
-fn frame_pair_serializes_roundtrip() {
-    let mut ds = Dataset::new(DatasetConfig::test_small(), 6);
-    let pair = ds.next_pair().unwrap();
-    let json = serde_json::to_string(&pair).expect("serialize");
-    let back: bba_dataset::FramePair = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(pair, back);
-}
-
-#[test]
-fn transforms_serialize_roundtrip() {
-    let t = Iso2::new(0.7, Vec2::new(-3.0, 9.5));
-    let json = serde_json::to_string(&t).unwrap();
-    let back: Iso2 = serde_json::from_str(&json).unwrap();
-    assert!(back.approx_eq(&t, 1e-12, 1e-12));
 }
 
 #[test]
