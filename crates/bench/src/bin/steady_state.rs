@@ -126,7 +126,6 @@ fn main() {
     // other on this single artifact.
     let recorder = Recorder::enabled();
     let engine = Arc::new(BbAlign::new(engine_config(opts.bev)).with_recorder(recorder.clone()));
-    let sequences = build_sequences(&engine, *sweep.last().unwrap(), opts.frames, opts.seed);
 
     let mut rows = vec![vec![
         "pairs".to_string(),
@@ -141,6 +140,9 @@ fn main() {
     let mut sweep_rows: Vec<SweepRow> = Vec::new();
 
     for &pairs in &sweep {
+        // Fresh frames per sweep point: a point must not read the feature
+        // caches an earlier point filled.
+        let sequences = build_sequences(&engine, pairs, opts.frames, opts.seed);
         let service = PoseService::new(
             Arc::clone(&engine),
             ServiceConfig {
@@ -160,7 +162,7 @@ fn main() {
         bba_par::with_threads(threads, || {
             for round in 0..opts.frames {
                 let mut now = 0.0;
-                for seq in sequences.iter().take(pairs) {
+                for seq in &sequences {
                     let (time, ego, other) = &seq.frames[round];
                     now = *time;
                     service.submit(

@@ -72,4 +72,4 @@ pub use recover::{
     RecoveryPath, Stage1Timing, WarmRecovery,
 };
 pub use tracking::{PoseTracker, TrackPrediction, TrackerConfig, TrackerConfigError};
-pub use wire::{decode_frame, encode_frame, DecodeError, WireReport};
+pub use wire::{decode_frame, encode_frame, DecodeError, WireReport, MAX_WIRE_IMAGE_SIZE};

@@ -1,7 +1,7 @@
 //! The two-stage recovery algorithm (paper Algorithm 1).
 
 use crate::config::BbAlignConfig;
-use crate::frame::{FrameBox, PerceptionFrame};
+use crate::frame::{FrameBox, FrameFeatures, PerceptionFrame, Stage1Features};
 use bba_bev::{BevConfig, BevImage};
 use bba_features::{
     detect_keypoints, match_sets, ransac_rigid, ransac_rigid_hinted, DescriptorSet, PatchSamples,
@@ -14,8 +14,13 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::error::Error;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+/// Source of [`BbAlign`] engine ids, the key of the per-frame feature
+/// cache.
+static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Stage-1 result: the BV image-matching alignment.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,14 +43,21 @@ pub struct BvMatch {
 /// entries accumulate over every rotation hypothesis actually swept. Pure
 /// instrumentation — the timed and untimed paths execute the same
 /// operations on the same data, so results are unaffected.
+///
+/// The MIM, detect and sample-once work is cached on each frame, so those
+/// phases read ≈0 for a frame whose features an earlier call built. When
+/// both frames are built concurrently, the wall time of the two builds is
+/// split across the three phases in proportion to their summed durations,
+/// so the phases still add up to the elapsed time.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Stage1Timing {
-    /// Log-Gabor MIM computation for both BV images (ms).
+    /// Log-Gabor MIM computation for the BV images built in this call (ms).
     pub mim_ms: f64,
-    /// Keypoint detection on both images (ms).
+    /// Keypoint detection on the images built in this call (ms).
     pub detect_ms: f64,
-    /// Descriptor work (ms): the sample-once pass for both images plus
-    /// every per-hypothesis re-bin.
+    /// Descriptor work (ms): the sample-once pass and hypothesis-0 re-bin
+    /// of the images built in this call, plus every later re-bin of the
+    /// other image.
     pub describe_ms: f64,
     /// Descriptor matching across all hypotheses (ms).
     pub match_ms: f64,
@@ -198,7 +210,9 @@ impl Error for RecoverError {
 /// The BB-Align pose-recovery engine.
 ///
 /// Construction is cheap; the Log-Gabor filter bank is built lazily on
-/// first use and cached (it depends only on the BV image size).
+/// first use and cached (it depends only on the BV image size). Each
+/// frame's pair-invariant features are cached on the frame itself, under
+/// this engine's process-unique id.
 ///
 /// # Example
 ///
@@ -206,36 +220,28 @@ impl Error for RecoverError {
 #[derive(Debug)]
 pub struct BbAlign {
     config: BbAlignConfig,
+    /// Process-unique id keying the feature caches this engine fills.
+    id: u64,
     bank: OnceLock<LogGaborBank>,
     /// Precomputed rotation-hypothesis binning tables (angle → offset→cell
     /// lookup); configuration-only, so built once and shared.
     sweep: OnceLock<RotationSweep>,
-    /// Pool of FFT scratch workspaces, recycled across recoveries so the
-    /// steady-state MIM computation allocates nothing per frame. Two are in
-    /// flight per `match_bv` call (one per car's BV image). Retention is
-    /// bounded by [`BbAlignConfig::pool_capacity`]; overflow buffers are
-    /// dropped, and hit/miss/drop counts surface through the recorder as
+    /// Pool of FFT scratch workspaces, recycled across MIM builds so the
+    /// steady-state filtering allocates nothing per frame. One is in
+    /// flight per frame being built. Retention is bounded by
+    /// [`BbAlignConfig::pool_capacity`]; overflow buffers are dropped, and
+    /// hit/miss/drop counts surface through the recorder as
     /// `pool.workspace.*` counters.
     workspaces: crate::pool::BoundedPool<FftWorkspace>,
-    /// Pool of stage-1 describe scratch (patch-sample buffers + descriptor
-    /// sets), recycled for the same reason; one set is in flight per
+    /// Pool of descriptor sets the other image is re-binned into for each
+    /// swept rotation hypothesis past the first; one is in flight per
     /// `match_bv` call. Bounded like the workspace pool, with
     /// `pool.stage1.*` counters.
-    stage1_scratch: crate::pool::BoundedPool<Stage1Scratch>,
+    stage1_scratch: crate::pool::BoundedPool<DescriptorSet>,
     /// Observability sink (disabled by default — and then free). Records
     /// per-phase spans, inlier gauges, and success/failure counters; it
     /// never influences results, only observes them.
     obs: Recorder,
-}
-
-/// Reusable stage-1 buffers: the hypothesis-invariant patch samples of both
-/// images and the descriptor sets they are re-binned into.
-#[derive(Debug, Default)]
-struct Stage1Scratch {
-    ego_samples: PatchSamples,
-    other_samples: PatchSamples,
-    ego_set: DescriptorSet,
-    other_set: DescriptorSet,
 }
 
 impl BbAlign {
@@ -250,6 +256,7 @@ impl BbAlign {
         let capacity = config.pool_capacity;
         BbAlign {
             config,
+            id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
             bank: OnceLock::new(),
             sweep: OnceLock::new(),
             workspaces: crate::pool::BoundedPool::new(
@@ -337,24 +344,75 @@ impl BbAlign {
         PerceptionFrame::new(bev, boxes)
     }
 
-    /// Extracts a global place descriptor for `frame` (see `bba-place`),
-    /// reusing the engine's shared Log-Gabor bank and pooled FFT
-    /// workspaces — the same plans and scratch stage 1 runs on, so the
-    /// steady-state filtering allocates nothing per frame. Callers that
-    /// already hold a [`MaxIndexMap`] (a frame that just ran stage 1)
-    /// should use [`bba_place::PlaceDescriptor::from_mim`] directly and
-    /// skip the recomputation entirely.
+    /// Extracts a global place descriptor for `frame` (see `bba-place`)
+    /// from the frame's Log-Gabor MIM — the same map stage 1 matches on,
+    /// computed once per frame and cached on it, so a frame that already
+    /// took part in a recovery pays only for the descriptor itself.
     pub fn place_descriptor(
         &self,
         frame: &PerceptionFrame,
         config: &bba_place::PlaceConfig,
     ) -> bba_place::PlaceDescriptor {
         let _span = self.obs.span("place.extract");
-        let bank = self.bank();
-        let mut ws = self.workspaces.take(&self.obs);
-        let mim = MaxIndexMap::compute_with_workspace(frame.bev().grid(), bank, &mut ws);
-        self.workspaces.put(ws, &self.obs);
-        bba_place::PlaceDescriptor::from_mim(&mim, config)
+        let features = self.frame_features(frame, &mut Stage1Timing::default());
+        bba_place::PlaceDescriptor::from_mim(&features.mim, config)
+    }
+
+    /// `frame`'s cached features under this engine, building the MIM on
+    /// first use (its time lands in `timing.mim_ms`). Counts
+    /// `features.built` or `features.reused`.
+    fn frame_features(
+        &self,
+        frame: &PerceptionFrame,
+        timing: &mut Stage1Timing,
+    ) -> Arc<FrameFeatures> {
+        let (features, built) = frame.features_or_build(self.id, || {
+            let t = Instant::now();
+            let mut ws = self.workspaces.take(&self.obs);
+            let mim = MaxIndexMap::compute_with_workspace(frame.bev().grid(), self.bank(), &mut ws);
+            self.workspaces.put(ws, &self.obs);
+            timing.mim_ms = elapsed_ms(t);
+            FrameFeatures { mim, stage1: OnceLock::new() }
+        });
+        self.obs.incr(if built { "features.built" } else { "features.reused" });
+        features
+    }
+
+    /// [`BbAlign::frame_features`] with the keypoint side built too:
+    /// detection, the sample-once pass and the hypothesis-0 re-bin, timed
+    /// into `timing`.
+    fn stage1_features(
+        &self,
+        frame: &PerceptionFrame,
+        timing: &mut Stage1Timing,
+    ) -> Arc<FrameFeatures> {
+        let features = self.frame_features(frame, timing);
+        let mim = &features.mim;
+        features.stage1.get_or_init(|| {
+            let cfg = &self.config;
+            let t = Instant::now();
+            let keypoints = match cfg.keypoint_source {
+                crate::config::KeypointSource::BvImage => {
+                    detect_keypoints(frame.bev().grid(), &cfg.keypoints)
+                }
+                crate::config::KeypointSource::MimAmplitude => {
+                    let max = mim.amplitude.max_value();
+                    if max <= 0.0 {
+                        Vec::new()
+                    } else {
+                        detect_keypoints(&mim.amplitude.map(|&a| a / max), &cfg.keypoints)
+                    }
+                }
+            };
+            timing.detect_ms = elapsed_ms(t);
+            let t = Instant::now();
+            let mut samples = PatchSamples::new();
+            samples.sample(mim, &keypoints, &cfg.descriptor);
+            let set0 = samples.rebin(self.sweep(), 0);
+            timing.describe_ms = elapsed_ms(t);
+            Stage1Features { keypoints: keypoints.len(), samples, set0 }
+        });
+        features
     }
 
     /// Stage 1: BV image matching (Algorithm 1, lines 5–11).
@@ -435,78 +493,60 @@ impl BbAlign {
         other: &PerceptionFrame,
         hint_pix: Option<&Iso2>,
         rng: &mut R,
-        scratch: &mut Stage1Scratch,
+        scratch: &mut DescriptorSet,
     ) -> Result<(BvMatch, Stage1Timing), RecoverError> {
         if ego.bev().config() != other.bev().config() {
             return Err(RecoverError::GeometryMismatch);
         }
         let cfg = &self.config;
         let mut timing = Stage1Timing::default();
-        let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
 
-        // MIM feature maps (needed for descriptors, and by default also as
-        // the keypoint-detection image). The two cars' BV→MIM pipelines are
-        // independent, so they run concurrently; each branch inherits half
-        // the thread budget for its internal filter-bank parallelism.
-        let bank = self.bank();
-        let (mut ws_ego, mut ws_other) =
-            (self.workspaces.take(&self.obs), self.workspaces.take(&self.obs));
+        // Each frame's pair-invariant features: MIM, keypoints, the
+        // hypothesis-invariant patch samples and their hypothesis-0
+        // descriptors. They are cached on the frame, so only frames new to
+        // this engine are built here — concurrently, each branch inheriting
+        // half the thread budget for its internal parallelism.
+        //
+        // Per-patch orientation normalisation is deliberately avoided:
+        // estimating an angle from view-dependent samples is unstable,
+        // while a global rotation hypothesis (RIFT-style, swept below)
+        // keeps the descriptors raw and discriminative. Each image is
+        // *sampled* exactly once; the per-hypothesis work is only the
+        // cheap re-binning of the other side's cached samples.
         let t = Instant::now();
-        let (mim_ego, mim_other) = bba_par::join(
-            || MaxIndexMap::compute_with_workspace(ego.bev().grid(), bank, &mut ws_ego),
-            || MaxIndexMap::compute_with_workspace(other.bev().grid(), bank, &mut ws_other),
+        let ((features_ego, t_ego), (features_other, t_other)) = bba_par::join(
+            || {
+                let mut t = Stage1Timing::default();
+                (self.stage1_features(ego, &mut t), t)
+            },
+            || {
+                let mut t = Stage1Timing::default();
+                (self.stage1_features(other, &mut t), t)
+            },
         );
-        timing.mim_ms = ms(t);
-        self.workspaces.put(ws_ego, &self.obs);
-        self.workspaces.put(ws_other, &self.obs);
-
-        // Keypoints.
-        let detect = |frame: &PerceptionFrame, mim: &MaxIndexMap| match cfg.keypoint_source {
-            crate::config::KeypointSource::BvImage => {
-                detect_keypoints(frame.bev().grid(), &cfg.keypoints)
-            }
-            crate::config::KeypointSource::MimAmplitude => {
-                let max = mim.amplitude.max_value();
-                if max <= 0.0 {
-                    return Vec::new();
-                }
-                let normalised = mim.amplitude.map(|&a| a / max);
-                detect_keypoints(&normalised, &cfg.keypoints)
-            }
-        };
-        let t = Instant::now();
-        let kp_ego = detect(ego, &mim_ego);
-        if kp_ego.is_empty() {
+        let mim_ms = t_ego.mim_ms + t_other.mim_ms;
+        let detect_ms = t_ego.detect_ms + t_other.detect_ms;
+        let describe_ms = t_ego.describe_ms + t_other.describe_ms;
+        let busy = mim_ms + detect_ms + describe_ms;
+        let share = if busy > 0.0 { elapsed_ms(t) / busy } else { 0.0 };
+        timing.mim_ms = mim_ms * share;
+        timing.detect_ms = detect_ms * share;
+        timing.describe_ms = describe_ms * share;
+        let ego_s1 = features_ego.stage1.get().expect("built by stage1_features");
+        let other_s1 = features_other.stage1.get().expect("built by stage1_features");
+        if ego_s1.keypoints == 0 {
             return Err(RecoverError::NoKeypoints { side: "ego" });
         }
-        let kp_other = detect(other, &mim_other);
-        timing.detect_ms = ms(t);
-        if kp_other.is_empty() {
+        if other_s1.keypoints == 0 {
             return Err(RecoverError::NoKeypoints { side: "other" });
         }
-
-        // Descriptors. Per-patch orientation normalisation is deliberately
-        // avoided: estimating an angle from view-dependent samples is
-        // unstable, while a global rotation hypothesis (RIFT-style, swept
-        // below) keeps the descriptors raw and discriminative. Each image
-        // is *sampled* exactly once — the per-hypothesis work is only the
-        // cheap re-binning of the cached samples. The ego side is re-binned
-        // once at hypothesis 0 (angle 0), the other side once per swept
-        // hypothesis.
-        let sweep = self.sweep();
-        let Stage1Scratch { ego_samples, other_samples, ego_set, other_set } = scratch;
-        let t = Instant::now();
-        bba_par::join(
-            || ego_samples.sample(&mim_ego, &kp_ego, &cfg.descriptor),
-            || other_samples.sample(&mim_other, &kp_other, &cfg.descriptor),
-        );
-        ego_samples.rebin_into(sweep, 0, ego_set);
-        timing.describe_ms = ms(t);
+        let ego_set = &ego_s1.set0;
         if ego_set.is_empty() {
             return Err(RecoverError::NoKeypoints { side: "ego" });
         }
         let pix = |kp: &bba_features::Keypoint| Vec2::new(kp.u as f64 + 0.5, kp.v as f64 + 0.5);
 
+        let sweep = self.sweep();
         let hypotheses = sweep.hypotheses();
         let mut candidates: Vec<(bba_features::RansacResult, usize)> = Vec::new();
         let mut any_descriptors = false;
@@ -514,16 +554,21 @@ impl BbAlign {
         let mut last_ransac_err = None;
         'sweep: for k in 0..hypotheses {
             timing.hypotheses_swept = k + 1;
-            let t = Instant::now();
-            other_samples.rebin_into(sweep, k, other_set);
-            timing.describe_ms += ms(t);
+            let other_set: &DescriptorSet = if k == 0 {
+                &other_s1.set0
+            } else {
+                let t = Instant::now();
+                other_s1.samples.rebin_into(sweep, k, scratch);
+                timing.describe_ms += elapsed_ms(t);
+                scratch
+            };
             if other_set.is_empty() {
                 continue;
             }
             any_descriptors = true;
             let t = Instant::now();
             let matches = match_sets(other_set, ego_set, &cfg.matcher);
-            timing.match_ms += ms(t);
+            timing.match_ms += elapsed_ms(t);
             if matches.len() < 2 {
                 continue;
             }
@@ -576,7 +621,7 @@ impl BbAlign {
                     }
                 }
             }
-            timing.ransac_ms += ms(t);
+            timing.ransac_ms += elapsed_ms(t);
             if stop_sweep {
                 break 'sweep;
             }
@@ -612,7 +657,7 @@ impl BbAlign {
                 .max_by(|a, b| a.0.total_cmp(&b.0).then(a.1.num_inliers.cmp(&b.1.num_inliers)))
                 .map(|(_, r, m)| (r, m))
                 .expect("candidates is nonempty");
-            timing.verify_ms = ms(t);
+            timing.verify_ms = elapsed_ms(t);
             picked
         } else {
             candidates
@@ -627,7 +672,7 @@ impl BbAlign {
                 transform_pixels: result.transform,
                 inliers: result.num_inliers,
                 matches,
-                keypoints: (kp_ego.len(), kp_other.len()),
+                keypoints: (ego_s1.keypoints, other_s1.keypoints),
             },
             timing,
         ))
@@ -962,6 +1007,11 @@ impl BbAlign {
         debug_assert!(recovery.is_success());
         Some(recovery)
     }
+}
+
+/// Milliseconds elapsed since `t`.
+fn elapsed_ms(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
 }
 
 /// Global BEV occupancy alignment scoring with a precomputed, shared ego

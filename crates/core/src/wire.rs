@@ -67,6 +67,8 @@ pub enum DecodeError {
     /// A box field (center, extent, yaw or confidence) was NaN or
     /// infinite.
     NonFiniteBox,
+    /// The header declared a raster side above [`MAX_WIRE_IMAGE_SIZE`].
+    RasterTooLarge,
 }
 
 impl fmt::Display for DecodeError {
@@ -76,6 +78,9 @@ impl fmt::Display for DecodeError {
             DecodeError::BadHeader => write!(f, "bad magic or unsupported version"),
             DecodeError::CellOutOfRange => write!(f, "cell index outside raster"),
             DecodeError::NonFiniteBox => write!(f, "non-finite box field"),
+            DecodeError::RasterTooLarge => {
+                write!(f, "raster side exceeds {MAX_WIRE_IMAGE_SIZE} cells")
+            }
         }
     }
 }
@@ -83,6 +88,11 @@ impl fmt::Display for DecodeError {
 impl Error for DecodeError {}
 
 const MAGIC: &[u8; 4] = b"BBA1";
+/// Largest BV raster side a payload may declare. The decoder allocates
+/// the full raster before reading cells, so this bounds what an untrusted
+/// header can make it allocate (2048² cells of f64 = 32 MiB), at four
+/// times the side of the largest preset raster (`BevConfig::fine`, 512).
+pub const MAX_WIRE_IMAGE_SIZE: usize = 2048;
 /// Height quantisation step (m per intensity unit): u8 spans 0–25.5 m,
 /// covering every landmark the generator produces.
 const HEIGHT_QUANT: f64 = 0.1;
@@ -154,8 +164,9 @@ pub fn box_wire_bytes() -> usize {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on truncation, bad header, out-of-raster
-/// cell indices, or a non-finite box field.
+/// Returns [`DecodeError`] on truncation, bad header, a raster larger
+/// than [`MAX_WIRE_IMAGE_SIZE`], out-of-raster cell indices, or a
+/// non-finite box field.
 pub fn decode_frame(bytes: &[u8]) -> Result<PerceptionFrame, DecodeError> {
     let mut cursor = 0usize;
     let take = |cursor: &mut usize, n: usize| -> Result<&[u8], DecodeError> {
@@ -179,6 +190,9 @@ pub fn decode_frame(bytes: &[u8]) -> Result<PerceptionFrame, DecodeError> {
 
     let config = BevConfig { range, resolution };
     let h = config.image_size();
+    if h > MAX_WIRE_IMAGE_SIZE {
+        return Err(DecodeError::RasterTooLarge);
+    }
     let mut grid = bba_signal::Grid::new(h, h, 0.0f64);
     for _ in 0..n_cells {
         let u = u16::from_le_bytes(take(&mut cursor, 2)?.try_into().expect("2 bytes")) as usize;
@@ -319,6 +333,20 @@ mod tests {
         let frame = frame_with_occupancy(50);
         let bytes = encode_frame(&frame);
         assert_eq!(decode_frame(&bytes[..bytes.len() - 3]).unwrap_err(), DecodeError::Truncated);
+    }
+
+    #[test]
+    fn decode_rejects_an_oversized_raster_before_allocating() {
+        // A 50-byte payload declaring a 160 000² raster (range 40 km at
+        // 0.5 m): allocating it would abort the process.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&40_000.0f64.to_le_bytes());
+        bytes.extend_from_slice(&0.5f64.to_le_bytes());
+        bytes.extend_from_slice(&0u32.to_le_bytes());
+        bytes.extend_from_slice(&1u16.to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 24]);
+        assert_eq!(bytes.len(), 50);
+        assert_eq!(decode_frame(&bytes).unwrap_err(), DecodeError::RasterTooLarge);
     }
 
     #[test]

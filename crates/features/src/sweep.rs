@@ -341,6 +341,12 @@ impl PatchSamples {
             Some(out)
         });
 
+        // Exact capacity: a sampled frame's buffers may be kept for its
+        // lifetime, so growth slack would be retained memory.
+        let total: usize = per_kp.iter().flatten().map(Vec::len).sum();
+        self.weights.reserve_exact(total);
+        self.offsets.reserve_exact(total);
+        self.indices.reserve_exact(total);
         for (kp, samples) in keypoints.iter().zip(per_kp) {
             if let Some(samples) = samples {
                 let start = self.weights.len() as u32;

@@ -222,9 +222,9 @@ impl PoseService {
 
     /// Publishes `vehicle`'s latest place descriptor, making it visible
     /// to the admission gate and to [`PoseService::candidate_pairs`].
-    /// Callers that already ran stage 1 should extract it from the
-    /// existing MIM (see `BbAlign::place_descriptor`) — publication here
-    /// is a write-locked upsert, no signal processing.
+    /// `BbAlign::place_descriptor` extracts it from the frame's cached
+    /// MIM, shared with stage 1 — publication here is a write-locked
+    /// upsert, no signal processing.
     pub fn update_descriptor(&self, vehicle: u32, descriptor: PlaceDescriptor) {
         self.place.write().expect("place index lock poisoned").update(vehicle, descriptor);
     }
