@@ -591,11 +591,14 @@ impl BbAlign {
                 match ransac_rigid_hinted(&src, &dst, Some(&qual), hint_pix, &cfg.ransac_bv, rng) {
                     Ok(result) => {
                         // Unambiguously strong consensus: clears the success
-                        // threshold AND explains at least half the matches.
-                        // That only happens for the true transform (aliases
-                        // never explain the majority), so stop sweeping.
-                        // Same-direction traffic makes hypothesis 0 the
-                        // common case, making this the usual fast path.
+                        // threshold AND explains at least half the matches,
+                        // so stop sweeping. With the default
+                        // `keep_top_k = 2` this almost never fires: each
+                        // keypoint yields up to two matches and at most one
+                        // of them can be a rigid inlier, so the ratio stays
+                        // near or below ½, and nearly every pair sweeps all
+                        // hypotheses (DESIGN.md, "RANSAC fast path").
+                        // Changing the rule would move the golden pose pin.
                         let strong = result.num_inliers > cfg.min_inliers_bv
                             && 2 * result.num_inliers >= matches.len();
                         // Remove this model's inliers before re-running.

@@ -15,11 +15,13 @@
 //! [`DescriptorSet`] layout: blocked row×row dot-product loops (one pool
 //! block stays cache-hot across a block of query rows), a top-(k+1)
 //! insertion select instead of sorting the full distance row, and the
-//! distance materialised only for the surviving candidates. A naive
-//! reference ([`match_sets_naive`]) computes the same candidates with a
-//! full sort; both share the same `dot` kernel and selection logic, so
-//! their outputs are bit-identical (pinned by the `kernel_matches_naive`
-//! proptest).
+//! distance materialised only for the surviving candidates; inside a tile
+//! one query row is dotted against four pool rows per
+//! [`bba_simd::dot_f32_x4`] call. A naive reference ([`match_sets_naive`])
+//! computes the same candidates with a full sort and the one-row `dot`;
+//! each four-row dot is bit-identical to it and both share the selection
+//! logic, so their outputs are bit-identical (pinned by the
+//! `kernel_matcher_equals_naive` proptest).
 //!
 //! Numerics: dot products accumulate in `f32` (that is the kernel's speed),
 //! so a distance near zero carries absolute noise of order `√(dim)·ε_f32` —
@@ -74,11 +76,12 @@ fn pool_block_rows(dim: usize) -> usize {
     (32 * 1024 / (dim.max(1) * std::mem::size_of::<f32>())).clamp(4, 64)
 }
 
-/// Four-lane blocked dot product ([`bba_simd::dot_f32`]). Both the blocked
-/// kernel and the naive reference call this exact function, so their dot
-/// products — and hence candidate rankings — agree bit-for-bit; the SIMD
-/// path keeps the same four-lane accumulator blocking, so vectorisation
-/// does not move bits either.
+/// Four-lane blocked dot product ([`bba_simd::dot_f32`]). The naive
+/// reference calls it for every pair and the blocked kernel for tile tails;
+/// [`bba_simd::dot_f32_x4`] reproduces it per row, so dot products — and
+/// hence candidate rankings — agree bit-for-bit, and vectorisation keeps
+/// the same four-lane accumulator blocking, so it does not move bits
+/// either.
 #[inline]
 fn dot(a: &[f32], b: &[f32]) -> f32 {
     bba_simd::dot_f32(a, b)
@@ -131,7 +134,17 @@ fn blocked_topk(q: &DescriptorSet, pool: &DescriptorSet, cap: usize) -> Vec<Vec<
             let jhi = (jlo + tile).min(pool.len());
             for (top, i) in tops.iter_mut().zip(lo..hi) {
                 let a = q.row(i);
-                for j in jlo..jhi {
+                // Four pool rows per kernel call; each dot has `dot`'s
+                // bits, and candidates still arrive in ascending `j`.
+                let mut j = jlo;
+                while j + 4 <= jhi {
+                    let rows = [pool.row(j), pool.row(j + 1), pool.row(j + 2), pool.row(j + 3)];
+                    for (jj, d) in (j..).zip(bba_simd::dot_f32_x4(a, rows)) {
+                        push_candidate(top, cap, jj as u32, d);
+                    }
+                    j += 4;
+                }
+                for j in j..jhi {
                     push_candidate(top, cap, j as u32, dot(a, pool.row(j)));
                 }
             }

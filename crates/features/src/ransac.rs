@@ -14,22 +14,20 @@
 //!   SoA transform-and-count kernel with a hoisted `sin_cos`, max-consensus
 //!   bail (a hypothesis is abandoned the moment the unscored remainder
 //!   cannot lift it above a provably safe bound — the SPRT-flavoured
-//!   sequential test), PROSAC-style quality-ordered preview scores that
-//!   raise that bound before the scan starts, and duplicate-sample
-//!   memoisation. The fast path returns the **bit-identical**
-//!   `RansacResult` (same inlier set, same pose bits, same iteration
-//!   count) and the same errors as the naive scan for every input, seed and
-//!   `bba-par` thread width; `DESIGN.md` → *RANSAC fast path* carries the
-//!   determinism argument and the proptests in this crate pin it.
+//!   sequential test), a trig-free screen that bails most hypotheses
+//!   before their exact `atan2`/`sin_cos` fit, PROSAC-style
+//!   quality-ordered preview scores that raise that bound before the scan
+//!   starts, and duplicate-sample memoisation. The fast path returns the
+//!   **bit-identical** `RansacResult` (same inlier set, same pose bits,
+//!   same iteration count) and the same errors as the naive scan for every
+//!   input, seed and `bba-par` thread width; `DESIGN.md` → *RANSAC fast
+//!   path* carries the determinism argument and the tests in this crate
+//!   pin it.
 
-use bba_geometry::{fit_rigid_2d, fit_rigid_2pt, Iso2, Vec2};
+use bba_geometry::{fit_rigid_2d, Iso2, TwoPointMoments, Vec2};
 use rand::Rng;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// RANSAC parameters.
 #[derive(Debug, Clone, PartialEq)]
@@ -355,19 +353,31 @@ pub fn ransac_rigid_guided<R: Rng + ?Sized>(
     let n_samples = samples.len();
 
     // SoA lanes of the correspondences keep the counting kernel's loads
-    // unit-stride and autovectorisable.
+    // unit-stride.
     let sx: Vec<f64> = src.iter().map(|p| p.x).collect();
     let sy: Vec<f64> = src.iter().map(|p| p.y).collect();
     let dx: Vec<f64> = dst.iter().map(|p| p.x).collect();
     let dy: Vec<f64> = dst.iter().map(|p| p.y).collect();
+    // Counts under a model given as `(cos, sin, tx, ty)`.
+    let count_under = |(cos, sin, tx, ty): (f64, f64, f64, f64), thresh: f64, bound: usize| {
+        count_inliers_bailing(&sx, &sy, &dx, &dy, cos, sin, tx, ty, thresh, bound)
+    };
+    // An exact model's lanes, its `sin_cos` hoisted out of the count.
+    let lanes_of = |model: &Iso2| {
+        let (sin, cos) = model.yaw().sin_cos();
+        let t = model.translation();
+        (cos, sin, t.x, t.y)
+    };
+    let screen_sq = screen_threshold_sq(src, dst, thresh_sq);
 
-    let sample_model = |(i, j): (usize, usize)| -> Option<Iso2> {
-        // Degenerate (coincident) samples cannot define a rotation.
+    // Degenerate (coincident) samples cannot define a rotation.
+    let moments = |(i, j): (usize, usize)| -> Option<TwoPointMoments> {
         if (src[i] - src[j]).norm_sq() < 1e-12 {
             return None;
         }
-        fit_rigid_2pt(src[i], src[j], dst[i], dst[j]).ok()
+        Some(TwoPointMoments::new(src[i], src[j], dst[i], dst[j])).filter(|m| !m.is_degenerate())
     };
+    let sample_model = |sample| moments(sample)?.fit().ok();
 
     // The naive scan exits once `count as f64 >= early_exit_fraction * n`.
     // `exit_cap` is the largest count that can NOT trigger that exit: every
@@ -386,23 +396,13 @@ pub fn ransac_rigid_guided<R: Rng + ?Sized>(
         t.saturating_sub(1)
     };
 
-    // Duplicate-sample table: (i, j) and (j, i) produce bit-identical
-    // models (two-term IEEE sums commute), so a repeated unordered pair
-    // reuses its first occurrence's resolution instead of rescoring. With
+    // Duplicate samples: (i, j) and (j, i) produce bit-identical models
+    // (two-term IEEE sums commute), so a repeated unordered pair reuses its
+    // first occurrence's resolution instead of rescoring. With
     // `max_iterations` far above the number of distinct pairs — stage 1
     // draws 3000 samples from often < 1000 pairs — this alone removes most
     // of the work.
-    let mut first_seen: HashMap<u64, u32> = HashMap::with_capacity(n_samples);
-    let mut dup_of: Vec<u32> = vec![u32::MAX; n_samples];
-    for (k, &(i, j)) in samples.iter().enumerate() {
-        let key = ((i.min(j) as u64) << 32) | (i.max(j) as u64);
-        match first_seen.entry(key) {
-            Entry::Occupied(e) => dup_of[k] = *e.get(),
-            Entry::Vacant(e) => {
-                e.insert(k as u32);
-            }
-        }
-    }
+    let dup_of = first_occurrences(&samples);
 
     // PROSAC-style preview: fully score the distinct samples whose two
     // correspondences have the smallest summed quality (matcher distance).
@@ -416,29 +416,26 @@ pub fn ransac_rigid_guided<R: Rng + ?Sized>(
     let mut preview_idx: Vec<u32> = Vec::new();
     let mut preview_suffix: Vec<u32> = Vec::new();
     if let Some(q) = quality.filter(|q| q.len() == n) {
-        let mut order: Vec<u32> =
-            (0..n_samples as u32).filter(|&k| dup_of[k as usize] == u32::MAX).collect();
-        let take = PREVIEW_SAMPLES.min(order.len());
+        let mut keyed: Vec<(f64, u32)> = Vec::with_capacity(n_samples);
+        keyed.extend(
+            samples
+                .iter()
+                .zip(&dup_of)
+                .enumerate()
+                .filter(|&(_, (_, &twin))| twin == u32::MAX)
+                .map(|(k, (&(i, j), _))| (q[i] + q[j], k as u32)),
+        );
+        let take = PREVIEW_SAMPLES.min(keyed.len());
         if take > 0 {
-            let qsum = |k: u32| {
-                let (i, j) = samples[k as usize];
-                q[i] + q[j]
-            };
-            order.select_nth_unstable_by(take - 1, |&a, &b| {
-                qsum(a).total_cmp(&qsum(b)).then(a.cmp(&b))
-            });
-            let mut chosen = order[..take].to_vec();
+            keyed.select_nth_unstable_by(take - 1, |a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let mut chosen: Vec<u32> = keyed[..take].iter().map(|&(_, k)| k).collect();
             chosen.sort_unstable();
             for &k in &chosen {
                 if let Some(model) = sample_model(samples[k as usize]) {
-                    let (sin, cos) = model.yaw().sin_cos();
-                    let t = model.translation();
                     // Bound 0 cannot bail mid-scan; a `None` here means the
                     // full count was exactly zero.
-                    let count =
-                        count_inliers_bailing(&sx, &sy, &dx, &dy, cos, sin, t.x, t.y, thresh_sq, 0)
-                            .unwrap_or(0);
-                    pre[k as usize] = Some(count as u32);
+                    let full = count_under(lanes_of(&model), thresh_sq, 0).unwrap_or(0);
+                    pre[k as usize] = Some(full as u32);
                 }
             }
             let entries: Vec<(u32, u32)> =
@@ -462,15 +459,12 @@ pub fn ransac_rigid_guided<R: Rng + ?Sized>(
         (preview_suffix[pos] as usize).saturating_sub(1).min(exit_cap)
     };
 
-    // The scan. Evaluation may run a chunk ahead in parallel; the merge
-    // walks outcomes strictly in draw order, so best/exit/winner replicate
-    // the serial scan exactly. Workers read the merged best through an
-    // atomic: any value they observe is a prefix-max at or below the true
-    // best at their index, so a bail it permits is always one the serial
-    // scan could also have taken — looser reads cost extra full scores,
-    // never a different result.
-    let best_so_far = AtomicUsize::new(0);
-    let eval = |k: usize| -> HypothesisOutcome {
+    // Hypothesis `k` under bail bound `bound`. The trig-free screen runs
+    // before the exact fit: its count is an upper bound on the exact one
+    // (see `screen_threshold_sq`), so when even it cannot beat `bound`,
+    // the exact count could not either and the hypothesis bails without an
+    // `atan2` or `sin_cos`.
+    let eval = |k: usize, bound: usize| -> HypothesisOutcome {
         let twin = dup_of[k];
         if twin != u32::MAX {
             return HypothesisOutcome::Duplicate(twin);
@@ -478,38 +472,51 @@ pub fn ransac_rigid_guided<R: Rng + ?Sized>(
         if let Some(count) = pre[k] {
             return HypothesisOutcome::Scored(count);
         }
-        let Some(model) = sample_model(samples[k]) else {
+        let Some(m) = moments(samples[k]) else {
             return HypothesisOutcome::Degenerate;
         };
-        let bound = best_so_far.load(Ordering::Relaxed).max(suffix_bound(k));
-        let (sin, cos) = model.yaw().sin_cos();
-        let t = model.translation();
-        match count_inliers_bailing(&sx, &sy, &dx, &dy, cos, sin, t.x, t.y, thresh_sq, bound) {
+        if let Some(wide_sq) = screen_sq {
+            let r_sq = m.dot * m.dot + m.cross * m.cross;
+            if r_sq.is_finite() && r_sq >= f64::MIN_POSITIVE {
+                let r = r_sq.sqrt();
+                let (c, s) = (m.dot / r, m.cross / r);
+                let tx = m.d_mean.x - (c * m.s_mean.x - s * m.s_mean.y);
+                let ty = m.d_mean.y - (s * m.s_mean.x + c * m.s_mean.y);
+                if count_under((c, s, tx, ty), wide_sq, bound).is_none() {
+                    return HypothesisOutcome::Bailed;
+                }
+            }
+        }
+        let Ok(model) = m.fit() else {
+            return HypothesisOutcome::Degenerate;
+        };
+        match count_under(lanes_of(&model), thresh_sq, bound) {
             Some(count) => HypothesisOutcome::Scored(count as u32),
             None => HypothesisOutcome::Bailed,
         }
     };
 
+    // The scan, strictly in draw order with the naive loop's best/exit
+    // rule. Each hypothesis costs ~100 ns once screened, far too little to
+    // hand to worker threads.
     // resolved[k]: -2 unvisited, -1 bailed/degenerate (irrelevant), else
     // the exact count — what a later duplicate of sample `k` inherits.
     let mut resolved: Vec<i64> = vec![-2; n_samples];
     let mut best_count = 0usize;
     let mut best_idx: Option<usize> = None;
     let mut iterations = 0usize;
-    let threads = bba_par::current_threads();
-    let chunk = if threads <= 1 { 1 } else { threads * 8 };
-    bba_par::par_scan_chunked(n_samples, chunk, eval, |k, outcome| {
+    for k in 0..n_samples {
         iterations = k + 1;
-        let count = match outcome {
+        let count = match eval(k, best_count.max(suffix_bound(k))) {
             HypothesisOutcome::Degenerate | HypothesisOutcome::Bailed => {
                 resolved[k] = -1;
-                return ControlFlow::Continue(());
+                continue;
             }
             HypothesisOutcome::Duplicate(twin) => {
                 let r = resolved[twin as usize];
                 resolved[k] = r;
                 if r < 0 {
-                    return ControlFlow::Continue(());
+                    continue;
                 }
                 r as usize
             }
@@ -521,13 +528,11 @@ pub fn ransac_rigid_guided<R: Rng + ?Sized>(
         if count > best_count {
             best_count = count;
             best_idx = Some(k);
-            best_so_far.store(count, Ordering::Relaxed);
             if exits(count) {
-                return ControlFlow::Break(());
+                break;
             }
         }
-        ControlFlow::Continue(())
-    });
+    }
 
     let required = config.min_inliers.max(2);
     let Some(winner) = best_idx.filter(|_| best_count >= required) else {
@@ -543,12 +548,81 @@ pub fn ransac_rigid_guided<R: Rng + ?Sized>(
     refit_and_expand(src, dst, best_inliers, iterations, config, thresh_sq)
 }
 
+/// For each sample, the index of the first earlier sample drawing the same
+/// unordered pair, or `u32::MAX` for a first occurrence. One flat
+/// open-addressed table of first-occurrence indices (linear probing,
+/// multiplicative hash, load factor ≤ ½); a probe compares the pairs
+/// themselves.
+fn first_occurrences(samples: &[(usize, usize)]) -> Vec<u32> {
+    const EMPTY: u32 = u32::MAX;
+    let unordered = |(i, j): (usize, usize)| (i.min(j), i.max(j));
+    let slots_len = (2 * samples.len()).next_power_of_two().max(2);
+    let shift = 64 - slots_len.trailing_zeros();
+    let mut slots = vec![EMPTY; slots_len];
+    let mut dup_of = vec![u32::MAX; samples.len()];
+    for (k, &sample) in samples.iter().enumerate() {
+        let pair = unordered(sample);
+        let key = ((pair.0 as u64) << 32) ^ (pair.1 as u64);
+        let mut slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
+        loop {
+            let first = slots[slot];
+            if first == EMPTY {
+                slots[slot] = k as u32;
+                break;
+            }
+            if unordered(samples[first as usize]) == pair {
+                dup_of[k] = first;
+                break;
+            }
+            slot = (slot + 1) & (slots_len - 1);
+        }
+    }
+    dup_of
+}
+
+/// Relative margin of the trig-free screen: the screen widens the inlier
+/// radius by `SCREEN_MARGIN · M`, `M` the call's largest |coordinate|.
+/// DESIGN.md ("RANSAC fast path", layer 6) bounds the true discrepancy
+/// between the screen's residual and the exact one by `M · 2⁻³⁶`; this
+/// margin is 16× that.
+const SCREEN_MARGIN: f64 = 1.0 / (1u64 << 32) as f64;
+
+/// Largest |coordinate| the screen accepts: residual components stay below
+/// `6·M`, so their squares cannot overflow.
+const SCREEN_MAX_COORD: f64 = 1e150;
+
+/// The squared radius the trig-free screen counts against, or `None` when
+/// the screen must be skipped (a non-finite coordinate, or one beyond
+/// [`SCREEN_MAX_COORD`]).
+///
+/// The exact hypothesis rotates by `sin_cos(atan2(cross, dot))` (after
+/// `Iso2::new` wraps the angle); the screen uses `(dot, cross) / r` with
+/// `r = √(dot² + cross²)` instead. Both approximate the same unit vector
+/// to within libm and rounding error, so a correspondence's two residuals
+/// differ by less than `M · 2⁻³⁶` (DESIGN.md). Every correspondence the
+/// exact predicate `residual² ≤ thresh_sq` accepts therefore lies within
+/// `√thresh_sq + SCREEN_MARGIN · M` of its destination under the screen's
+/// model; the final `(1 + SCREEN_MARGIN)` factor absorbs the rounding of
+/// both squared residuals and of this computation. NaN `thresh_sq` stays
+/// NaN — neither predicate then accepts anything.
+fn screen_threshold_sq(src: &[Vec2], dst: &[Vec2], thresh_sq: f64) -> Option<f64> {
+    let mut m = 0.0f64;
+    for a in src.iter().chain(dst).flat_map(|p| [p.x.abs(), p.y.abs()]) {
+        if a.is_nan() || a > SCREEN_MAX_COORD {
+            return None;
+        }
+        m = m.max(a);
+    }
+    let widened = thresh_sq.sqrt() + SCREEN_MARGIN * m;
+    Some(widened * widened * (1.0 + SCREEN_MARGIN))
+}
+
 /// Counts correspondences the model maps within `sqrt(thresh_sq)` of their
 /// destination, abandoning the hypothesis as soon as the unscored remainder
 /// cannot lift the count strictly above `bound` (returns `None`; the exact
 /// count is then provably `<= bound`).
 ///
-/// The per-point arithmetic reproduces
+/// The per-point arithmetic ([`bba_simd::rigid_inlier_count`]) reproduces
 /// `(model.apply(src[k]) - dst[k]).norm_sq() <= thresh_sq` operation for
 /// operation, with the model's `sin_cos` hoisted out of the loop — the
 /// hoist is bit-safe because `Vec2::rotated` computes the same `sin_cos`
@@ -567,25 +641,7 @@ fn count_inliers_bailing(
     thresh_sq: f64,
     bound: usize,
 ) -> Option<usize> {
-    const BLOCK: usize = 64;
-    let n = sx.len();
-    let mut count = 0usize;
-    let mut k = 0usize;
-    while k < n {
-        let end = (k + BLOCK).min(n);
-        for idx in k..end {
-            let px = (cos * sx[idx] - sin * sy[idx]) + tx;
-            let py = (sin * sx[idx] + cos * sy[idx]) + ty;
-            let ex = px - dx[idx];
-            let ey = py - dy[idx];
-            count += usize::from(ex * ex + ey * ey <= thresh_sq);
-        }
-        k = end;
-        if count + (n - k) <= bound {
-            return None;
-        }
-    }
-    Some(count)
+    bba_simd::rigid_inlier_count(sx, sy, dx, dy, cos, sin, tx, ty, thresh_sq, bound)
 }
 
 #[cfg(test)]
@@ -593,6 +649,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cmp::Ordering;
 
     fn truth() -> Iso2 {
         Iso2::new(0.6, Vec2::new(5.0, -3.0))
@@ -908,6 +965,181 @@ mod tests {
                 )
             });
             assert_eq!(reference, fast, "threads={threads}");
+        }
+    }
+
+    /// Asserts guided ≡ naive field for field, comparing floats by bits.
+    fn assert_guided_matches_naive_bitwise(
+        src: &[Vec2],
+        dst: &[Vec2],
+        quality: Option<&[f64]>,
+        cfg: &RansacConfig,
+        seed: u64,
+    ) {
+        let naive = ransac_rigid_naive(src, dst, cfg, &mut StdRng::seed_from_u64(seed));
+        let fast = ransac_rigid_guided(src, dst, quality, cfg, &mut StdRng::seed_from_u64(seed));
+        match (&naive, &fast) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.inliers, b.inliers, "inliers, seed {seed}");
+                assert_eq!(a.num_inliers, b.num_inliers, "num_inliers, seed {seed}");
+                assert_eq!(a.iterations, b.iterations, "iterations, seed {seed}");
+                let bits = |t: &Iso2| {
+                    [t.yaw().to_bits(), t.translation().x.to_bits(), t.translation().y.to_bits()]
+                };
+                assert_eq!(bits(&a.transform), bits(&b.transform), "transform, seed {seed}");
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "error, seed {seed}"),
+            _ => panic!("seed {seed}: naive {naive:?} vs guided {fast:?}"),
+        }
+    }
+
+    /// A scene whose outcome hangs on correspondences at the inlier
+    /// boundary. `m` copies each of `A→A'` and `B→B'` define model `AB`;
+    /// `on` more correspondences sit at exact residual² `τ² = 4` under the
+    /// `AB` model RANSAC fits, `inside` one ulp below and `outside` one ulp
+    /// above it. A second cluster (`m` copies each of `C→C'`, `D→D'`, plus
+    /// exact fits) has one inlier fewer than `AB`, so a screen that lost a
+    /// single boundary inlier of `AB` would bail the naive winner whenever
+    /// a `CD` sample is drawn first. `scale` multiplies every coordinate.
+    fn boundary_scene(
+        yaw: f64,
+        scale: f64,
+        on: usize,
+        inside: usize,
+        outside: usize,
+    ) -> (Vec<Vec2>, Vec<Vec2>) {
+        let m = 6;
+        let p = |x: f64, y: f64| Vec2::new(x * scale, y * scale);
+        let t1 = Iso2::new(yaw, p(300.0, 400.0));
+        let (a, b) = (p(10.0, 20.0), p(60.0, 35.0));
+        let (a2, b2) = (t1.apply(a), t1.apply(b));
+        // Exactly the model RANSAC fits from any `(A, B)` sample.
+        let ab = fit_rigid_2d(&[a, b], &[a2, b2]).unwrap();
+        let t2 = Iso2::new(yaw + 1.3, p(-700.0, -900.0));
+        let (c, d) = (p(-200.0, -150.0), p(-120.0, -60.0));
+        let (c2, d2) = (t2.apply(c), t2.apply(d));
+        let cd = fit_rigid_2d(&[c, d], &[c2, d2]).unwrap();
+
+        let mut src = Vec::new();
+        let mut dst = Vec::new();
+        for _ in 0..m {
+            src.extend([a, b, c, d]);
+            dst.extend([a2, b2, c2, d2]);
+        }
+        // `fl(v − 2)` is exact for `v ≥ 2`, so the residual is exactly
+        // (0, 2) or (2, 0); stepping that coordinate by one ulp moves it
+        // either side. Alternating the direction keeps the boundary points
+        // from forming a shifted cluster of their own.
+        let total = on + inside + outside;
+        for k in 0..total {
+            let s = p(20.0 + 7.0 * k as f64, 50.0 + 3.0 * k as f64);
+            let at = ab.apply(s);
+            assert!(at.x >= 2.0 && at.y >= 2.0, "boundary construction needs p ≥ 2");
+            let along = if k % 2 == 0 { at.y } else { at.x };
+            let edge = along - 2.0;
+            let (moved, side) = if k < on {
+                (edge, Ordering::Equal)
+            } else if k < on + inside {
+                (f64::from_bits(edge.to_bits() + 1), Ordering::Less)
+            } else {
+                (f64::from_bits(edge.to_bits() - 1), Ordering::Greater)
+            };
+            let q = if k % 2 == 0 { Vec2::new(at.x, moved) } else { Vec2::new(moved, at.y) };
+            assert_eq!((ab.apply(s) - q).norm_sq().partial_cmp(&4.0), Some(side));
+            src.push(s);
+            dst.push(q);
+        }
+        for k in 0..(on + inside).saturating_sub(1) {
+            let s = p(-300.0 - 11.0 * k as f64, -20.0 + 5.0 * k as f64);
+            src.push(s);
+            dst.push(cd.apply(s));
+        }
+        (src, dst)
+    }
+
+    /// Runs [`boundary_scene`] over a spread of rotations and boundary
+    /// mixes at coordinate `scale`, with and without a quality schedule.
+    fn check_boundary_scenes(scale: f64, yaws: usize, seeds: u64) {
+        let cfg = RansacConfig::default();
+        assert_eq!(cfg.inlier_threshold, 2.0, "boundary_scene places residuals for τ = 2");
+        for step in 0..yaws {
+            let yaw = -3.1 + 6.2 * step as f64 / yaws as f64;
+            for (on, inside, outside) in [(6, 0, 0), (4, 3, 3), (1, 0, 6), (0, 5, 5)] {
+                let (src, dst) = boundary_scene(yaw, scale, on, inside, outside);
+                let quality: Vec<f64> = (0..src.len()).map(|i| ((i * 7) % 5) as f64).collect();
+                for seed in 0..seeds {
+                    assert_guided_matches_naive_bitwise(&src, &dst, None, &cfg, seed);
+                    assert_guided_matches_naive_bitwise(&src, &dst, Some(&quality), &cfg, seed);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn screen_keeps_correspondences_exactly_at_the_threshold() {
+        check_boundary_scenes(1.0, 24, 6);
+    }
+
+    #[test]
+    fn screen_is_sound_at_large_coordinates() {
+        // Coordinates up to ~1e6: the screen's margin must grow with them.
+        for scale in [37.5, 900.0] {
+            let (src, dst) = boundary_scene(0.3, scale, 4, 3, 3);
+            let max = src.iter().chain(&dst).map(|p| p.x.abs().max(p.y.abs())).fold(0.0, f64::max);
+            assert!(max < 1.2e6 && (scale < 900.0 || max > 5e5), "max {max}");
+            check_boundary_scenes(scale, 12, 6);
+        }
+    }
+
+    #[test]
+    fn screen_is_sound_on_near_coincident_samples() {
+        // Source pairs a hair either side of the 1e-6 coincidence cut, plus
+        // pairs at 1e-5: tiny `dot`/`cross`, rotation fixed by rounding.
+        let t = truth();
+        let mut src = Vec::new();
+        let mut dst = Vec::new();
+        for k in 0..10 {
+            let base = Vec2::new(3.0 * k as f64, 40.0 - 2.0 * k as f64);
+            let gap = [0.999_999e-6, 1.000_001e-6, 1e-5][k % 3];
+            for q in [base, base + Vec2::new(gap, 0.0), base + Vec2::new(0.0, gap)] {
+                src.push(q);
+                dst.push(t.apply(q) + Vec2::new(0.0, 1e-7 * k as f64));
+            }
+        }
+        for k in 0..12 {
+            src.push(Vec2::new(7.0 * k as f64, -3.0));
+            dst.push(Vec2::new(-90.0 + k as f64, 80.0));
+        }
+        let cfg = RansacConfig { max_iterations: 1500, ..Default::default() };
+        for seed in 0..16 {
+            assert_guided_matches_naive_bitwise(&src, &dst, None, &cfg, seed);
+        }
+    }
+
+    #[test]
+    fn non_finite_entries_agree_with_the_oracle() {
+        // Untrusted input: NaN and ±∞ in either point set must neither
+        // panic nor move the result away from the naive scan.
+        let (src, dst) = clean_pairs(40);
+        let cfg = RansacConfig::default();
+        let poisons = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for (v, &bad) in poisons.iter().enumerate() {
+            for stride in [3usize, 7, 40] {
+                let (mut s, mut d) = (src.clone(), dst.clone());
+                for k in (v..40).step_by(stride) {
+                    match k % 4 {
+                        0 => s[k].x = bad,
+                        1 => s[k].y = bad,
+                        2 => d[k].x = bad,
+                        _ => d[k].y = bad,
+                    }
+                }
+                for seed in 0..8 {
+                    assert_guided_matches_naive_bitwise(&s, &d, None, &cfg, seed);
+                }
+            }
+            let all_bad = vec![Vec2::new(bad, bad); 12];
+            assert_guided_matches_naive_bitwise(&all_bad, &all_bad, None, &cfg, 1);
         }
     }
 

@@ -139,12 +139,8 @@ pub fn weighted_fit_rigid_2d(
 /// Two-correspondence special case of [`fit_rigid_2d`], bit-identical to
 /// `fit_rigid_2d(&[s0, s1], &[d0, d1])` but without slices or the generic
 /// accumulation loop — the shape RANSAC's minimal-sample hypothesis fit
-/// takes thousands of times per call.
-///
-/// The accumulation order below deliberately mirrors the general loop
-/// (start from zero, add the two terms in index order) so the returned
-/// transform has the exact same bits; `crates/features` pins that
-/// equivalence under proptest.
+/// takes thousands of times per call. Equivalent to
+/// `TwoPointMoments::new(s0, s1, d0, d1).fit()`.
 ///
 /// # Errors
 ///
@@ -152,36 +148,83 @@ pub fn weighted_fit_rigid_2d(
 /// (near-)coincide; length/count errors cannot occur by construction.
 #[inline]
 pub fn fit_rigid_2pt(s0: Vec2, s1: Vec2, d0: Vec2, d1: Vec2) -> Result<Iso2, RigidFitError> {
-    let total_w = 2.0;
-    let mut s_mean = Vec2::ZERO;
-    let mut d_mean = Vec2::ZERO;
-    s_mean += s0;
-    d_mean += d0;
-    s_mean += s1;
-    d_mean += d1;
-    s_mean = s_mean / total_w;
-    d_mean = d_mean / total_w;
+    TwoPointMoments::new(s0, s1, d0, d1).fit()
+}
 
-    let mut dot = 0.0;
-    let mut cross = 0.0;
-    let mut spread = 0.0;
-    let a0 = s0 - s_mean;
-    let b0 = d0 - d_mean;
-    dot += a0.dot(b0);
-    cross += a0.cross(b0);
-    spread += a0.norm_sq();
-    let a1 = s1 - s_mean;
-    let b1 = d1 - d_mean;
-    dot += a1.dot(b1);
-    cross += a1.cross(b1);
-    spread += a1.norm_sq();
-    if spread < 1e-18 {
-        return Err(RigidFitError::Degenerate);
+/// The demeaned sums [`fit_rigid_2pt`] solves, exposed so a caller can
+/// inspect a minimal sample (RANSAC's trig-free screen builds an
+/// approximate rotation `(dot, cross) / ‖(dot, cross)‖` from them) before
+/// paying for the exact `atan2`/`sin_cos` solve.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TwoPointMoments {
+    /// Mean of the two source points.
+    pub s_mean: Vec2,
+    /// Mean of the two destination points.
+    pub d_mean: Vec2,
+    /// `Σ (sᵢ − s̄) · (dᵢ − d̄)`.
+    pub dot: f64,
+    /// `Σ (sᵢ − s̄) × (dᵢ − d̄)`.
+    pub cross: f64,
+    /// `Σ ‖sᵢ − s̄‖²`.
+    pub spread: f64,
+}
+
+impl TwoPointMoments {
+    /// Accumulates the sums. The order deliberately mirrors the general
+    /// loop of [`weighted_fit_rigid_2d`] (start from zero, add the two
+    /// terms in index order) so [`TwoPointMoments::fit`] returns the exact
+    /// bits of `fit_rigid_2d(&[s0, s1], &[d0, d1])`; `crates/features` pins
+    /// that equivalence under proptest.
+    #[inline]
+    pub fn new(s0: Vec2, s1: Vec2, d0: Vec2, d1: Vec2) -> Self {
+        let total_w = 2.0;
+        let mut s_mean = Vec2::ZERO;
+        let mut d_mean = Vec2::ZERO;
+        s_mean += s0;
+        d_mean += d0;
+        s_mean += s1;
+        d_mean += d1;
+        s_mean = s_mean / total_w;
+        d_mean = d_mean / total_w;
+
+        let mut dot = 0.0;
+        let mut cross = 0.0;
+        let mut spread = 0.0;
+        let a0 = s0 - s_mean;
+        let b0 = d0 - d_mean;
+        dot += a0.dot(b0);
+        cross += a0.cross(b0);
+        spread += a0.norm_sq();
+        let a1 = s1 - s_mean;
+        let b1 = d1 - d_mean;
+        dot += a1.dot(b1);
+        cross += a1.cross(b1);
+        spread += a1.norm_sq();
+        TwoPointMoments { s_mean, d_mean, dot, cross, spread }
     }
 
-    let yaw = cross.atan2(dot);
-    let t = d_mean - s_mean.rotated(yaw);
-    Ok(Iso2::new(yaw, t))
+    /// Whether the source spread is too small to observe a rotation — the
+    /// condition under which [`TwoPointMoments::fit`] fails.
+    #[inline]
+    pub fn is_degenerate(&self) -> bool {
+        self.spread < 1e-18
+    }
+
+    /// The least-squares rigid transform.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RigidFitError::Degenerate`] when
+    /// [`TwoPointMoments::is_degenerate`].
+    #[inline]
+    pub fn fit(&self) -> Result<Iso2, RigidFitError> {
+        if self.is_degenerate() {
+            return Err(RigidFitError::Degenerate);
+        }
+        let yaw = self.cross.atan2(self.dot);
+        let t = self.d_mean - self.s_mean.rotated(yaw);
+        Ok(Iso2::new(yaw, t))
+    }
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ pub mod vec;
 
 pub use angle::{angle_diff, normalize_angle, Degrees, Radians};
 pub use boxes::{BevBox, Box3};
-pub use fit::{fit_rigid_2d, fit_rigid_2pt, weighted_fit_rigid_2d, RigidFitError};
+pub use fit::{fit_rigid_2d, fit_rigid_2pt, weighted_fit_rigid_2d, RigidFitError, TwoPointMoments};
 pub use iso::{Iso2, Iso3};
 pub use polygon::{convex_area, intersect_convex, obb_intersection_area, obb_iou};
 pub use vec::{Vec2, Vec3};

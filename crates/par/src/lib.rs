@@ -246,54 +246,6 @@ pub fn par_for_rows<T: Send>(data: &mut [T], row_len: usize, f: impl Fn(usize, &
     });
 }
 
-/// Deterministic chunked early-exit scan: evaluates `eval(i)` for
-/// `i ∈ 0..n` and feeds the results to `visit(i, result)` **strictly in
-/// index order** until `visit` returns [`std::ops::ControlFlow::Break`] or the range
-/// is exhausted.
-///
-/// Evaluation is batched `chunk_size` indices at a time; each batch is
-/// computed in parallel (via the ordered chunk runner) and then visited
-/// serially, so a `Break` skips every later batch. Under a thread budget of
-/// 1 the scan degenerates to the classic lazy loop — evaluate one index,
-/// visit it, stop at the same index the serial loop would.
-///
-/// Determinism contract: when `eval` is a pure function of its index, the
-/// visited prefix — indices, values and the stopping point — is identical
-/// at every thread count; chunking only affects how far *past* the break
-/// point `eval` is speculatively called. Callers whose `eval` reads shared
-/// state updated by `visit` (e.g. a best-so-far bound) must ensure the
-/// final outcome is invariant to `eval` seeing a stale value, because a
-/// batch is evaluated before any of it is visited.
-pub fn par_scan_chunked<U: Send>(
-    n: usize,
-    chunk_size: usize,
-    eval: impl Fn(usize) -> U + Sync,
-    mut visit: impl FnMut(usize, U) -> std::ops::ControlFlow<()>,
-) {
-    use std::ops::ControlFlow;
-    if current_threads() <= 1 {
-        if let Some(r) = obs() {
-            r.incr("par.serial_ops");
-        }
-        for i in 0..n {
-            if let ControlFlow::Break(()) = visit(i, eval(i)) {
-                return;
-            }
-        }
-        return;
-    }
-    let chunk = chunk_size.max(1);
-    for start in (0..n).step_by(chunk) {
-        let end = (start + chunk).min(n);
-        let batch = par_map_indices(end - start, |off| eval(start + off));
-        for (off, value) in batch.into_iter().enumerate() {
-            if let ControlFlow::Break(()) = visit(start + off, value) {
-                return;
-            }
-        }
-    }
-}
-
 /// Runs two closures concurrently, returning both results. Each branch
 /// inherits half the caller's thread budget (so its own inner `par_map`
 /// calls stay within the total). Under a budget of 1 both run serially on
@@ -409,75 +361,6 @@ mod tests {
             with_threads(2, || assert_eq!(current_threads(), 2));
             assert_eq!(current_threads(), 6);
         });
-    }
-
-    #[test]
-    fn par_scan_visits_in_order_and_stops_at_break() {
-        use std::ops::ControlFlow;
-        // The scan must visit 0..=break point in order at every width, with
-        // the same stopping index as the serial loop.
-        for threads in 1..=8 {
-            let mut visited = Vec::new();
-            with_threads(threads, || {
-                par_scan_chunked(
-                    1000,
-                    threads * 8,
-                    |i| i * 3,
-                    |i, v| {
-                        assert_eq!(v, i * 3);
-                        visited.push(i);
-                        if i == 137 {
-                            ControlFlow::Break(())
-                        } else {
-                            ControlFlow::Continue(())
-                        }
-                    },
-                );
-            });
-            assert_eq!(visited, (0..=137).collect::<Vec<_>>(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn par_scan_without_break_visits_everything() {
-        use std::ops::ControlFlow;
-        let mut sum = 0usize;
-        with_threads(4, || {
-            par_scan_chunked(
-                257,
-                16,
-                |i| i,
-                |_, v| {
-                    sum += v;
-                    ControlFlow::Continue(())
-                },
-            );
-        });
-        assert_eq!(sum, 257 * 256 / 2);
-        // Empty range: visit must never run.
-        with_threads(4, || {
-            par_scan_chunked(0, 8, |i| i, |_, _| -> ControlFlow<()> { panic!("nothing to visit") });
-        });
-    }
-
-    #[test]
-    fn par_scan_serial_budget_is_lazy() {
-        use std::ops::ControlFlow;
-        // Under a budget of 1 evaluation is index-at-a-time: breaking at k
-        // means eval was called exactly k+1 times, regardless of chunk size.
-        let evals = AtomicUsize::new(0);
-        with_threads(1, || {
-            par_scan_chunked(
-                1000,
-                64,
-                |i| {
-                    evals.fetch_add(1, Ordering::Relaxed);
-                    i
-                },
-                |i, _| if i == 9 { ControlFlow::Break(()) } else { ControlFlow::Continue(()) },
-            );
-        });
-        assert_eq!(evals.load(Ordering::Relaxed), 10);
     }
 
     #[test]

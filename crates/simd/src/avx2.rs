@@ -1,8 +1,9 @@
 //! AVX2 kernels (x86_64). Bit-identical to [`crate::portable`] by
 //! construction: every multiply and add is a separate, individually
 //! rounded instruction (no FMA), elementwise ops preserve per-element
-//! order, and the one reduction ([`dot_f32`]) keeps the scalar 4-lane
-//! association by staying on a 128-bit accumulator.
+//! order, and the dot reductions ([`dot_f32`], [`dot_f32_x4`]) keep the
+//! scalar 4-lane association by giving each row its own 128-bit
+//! accumulator (lane).
 //!
 //! All functions are `unsafe` because they require AVX2; the dispatcher in
 //! the crate root only calls them after `is_x86_feature_detected!("avx2")`.
@@ -296,6 +297,100 @@ pub unsafe fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
         s += a[j] * b[j];
     }
     s
+}
+
+/// SIMD [`dot_f32_x4`](crate::dot_f32_x4): rows 0/1 and 2/3 share one
+/// 256-bit accumulator each, one row per 128-bit half, against the query
+/// chunk broadcast to both halves. Lanes never mix, so every row gets
+/// exactly [`dot_f32`]'s four running sums, combined and tailed the same
+/// way.
+#[target_feature(enable = "avx2")]
+pub unsafe fn dot_f32_x4(a: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
+    let n4 = a.len() & !3;
+    let [b0, b1, b2, b3] = rows;
+    let mut acc01 = _mm256_setzero_ps();
+    let mut acc23 = _mm256_setzero_ps();
+    let mut i = 0;
+    while i < n4 {
+        let va = _mm_loadu_ps(a.as_ptr().add(i));
+        let vaa = _mm256_set_m128(va, va);
+        let v01 = _mm256_loadu2_m128(b1.as_ptr().add(i), b0.as_ptr().add(i));
+        let v23 = _mm256_loadu2_m128(b3.as_ptr().add(i), b2.as_ptr().add(i));
+        acc01 = _mm256_add_ps(acc01, _mm256_mul_ps(vaa, v01));
+        acc23 = _mm256_add_ps(acc23, _mm256_mul_ps(vaa, v23));
+        i += 4;
+    }
+    let mut lanes = [0.0f32; 16];
+    _mm256_storeu_ps(lanes.as_mut_ptr(), acc01);
+    _mm256_storeu_ps(lanes.as_mut_ptr().add(8), acc23);
+    let mut out = [0.0f32; 4];
+    for (r, (s, b)) in out.iter_mut().zip(rows).enumerate() {
+        let l = &lanes[4 * r..4 * r + 4];
+        *s = (l[0] + l[1]) + (l[2] + l[3]);
+        for j in n4..a.len() {
+            *s += a[j] * b[j];
+        }
+    }
+    out
+}
+
+/// AVX2 [`rigid_inlier_count`](crate::rigid_inlier_count): four
+/// correspondences per vector with the scalar expression's operation order
+/// (separate multiplies and adds, no FMA) and an ordered `<=` compare, so
+/// NaN residuals never count. Each all-ones compare lane is subtracted from
+/// a 64-bit lane counter (−1 per inlier); the counter is reduced and the
+/// bail condition checked after every 64-correspondence block, exactly
+/// where the scalar loop checks it. The last block's `< 4` tail is scalar.
+#[target_feature(enable = "avx2")]
+pub unsafe fn rigid_inlier_count(
+    sx: &[f64],
+    sy: &[f64],
+    dx: &[f64],
+    dy: &[f64],
+    cos: f64,
+    sin: f64,
+    tx: f64,
+    ty: f64,
+    thresh_sq: f64,
+    bound: usize,
+) -> Option<usize> {
+    let n = sx.len();
+    let (vc, vs) = (_mm256_set1_pd(cos), _mm256_set1_pd(sin));
+    let (vtx, vty, vt) = (_mm256_set1_pd(tx), _mm256_set1_pd(ty), _mm256_set1_pd(thresh_sq));
+    let mut count = 0usize;
+    let mut k = 0usize;
+    while k < n {
+        let end = (k + crate::INLIER_BLOCK).min(n);
+        let mut lanes = _mm256_setzero_si256();
+        let mut idx = k;
+        while idx + 4 <= end {
+            let x = _mm256_loadu_pd(sx.as_ptr().add(idx));
+            let y = _mm256_loadu_pd(sy.as_ptr().add(idx));
+            let px = _mm256_add_pd(_mm256_sub_pd(_mm256_mul_pd(vc, x), _mm256_mul_pd(vs, y)), vtx);
+            let py = _mm256_add_pd(_mm256_add_pd(_mm256_mul_pd(vs, x), _mm256_mul_pd(vc, y)), vty);
+            let ex = _mm256_sub_pd(px, _mm256_loadu_pd(dx.as_ptr().add(idx)));
+            let ey = _mm256_sub_pd(py, _mm256_loadu_pd(dy.as_ptr().add(idx)));
+            let e2 = _mm256_add_pd(_mm256_mul_pd(ex, ex), _mm256_mul_pd(ey, ey));
+            let inside = _mm256_cmp_pd::<_CMP_LE_OQ>(e2, vt);
+            lanes = _mm256_sub_epi64(lanes, _mm256_castpd_si256(inside));
+            idx += 4;
+        }
+        let mut sums = [0i64; 4];
+        _mm256_storeu_si256(sums.as_mut_ptr() as *mut __m256i, lanes);
+        count += sums.iter().sum::<i64>() as usize;
+        for i in idx..end {
+            let px = (cos * sx[i] - sin * sy[i]) + tx;
+            let py = (sin * sx[i] + cos * sy[i]) + ty;
+            let ex = px - dx[i];
+            let ey = py - dy[i];
+            count += usize::from(ex * ex + ey * ey <= thresh_sq);
+        }
+        k = end;
+        if count + (n - k) <= bound {
+            return None;
+        }
+    }
+    Some(count)
 }
 
 /// AVX2 [`rebin_row`](crate::rebin_row): the `weight·omf` / `weight·frac`

@@ -23,8 +23,11 @@
 //!   matcher's fixed 4-lane blocking: a 128-bit `f32x4` accumulator
 //!   performs *the same* four running sums as the scalar `acc[0..4]`
 //!   pattern, combined in the same `(acc0+acc1)+(acc2+acc3)` order.
-//!   (A 256-bit 8-lane accumulator would *not* be bit-identical, which is
-//!   why the dot kernel deliberately stays at 128 bits.)
+//!   (A 256-bit 8-lane accumulator over one row would *not* be
+//!   bit-identical, which is why the dot kernel deliberately stays at 128
+//!   bits; [`dot_f32_x4`] fills 256-bit registers with *two* rows, one per
+//!   128-bit half.) [`rigid_inlier_count`] sums integer compare masks, so
+//!   its lane order is free.
 //!
 //! The `equivalence` proptests compare every AVX2 kernel against its
 //! portable twin at the `to_bits` level on randomised inputs.
@@ -288,6 +291,63 @@ pub fn max_merge(amp: &mut [f64], idx: &mut [u8], cand_amp: &[f64], cand_idx: &[
 pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot_f32 length mismatch");
     dispatch!(dot_f32(a, b))
+}
+
+/// [`dot_f32`] of one query row against four rows at once — the matcher's
+/// pool-tile inner loop. Each returned dot is bit-identical to
+/// `dot_f32(a, rows[r])`; the AVX2 path loads each query chunk once for all
+/// four rows.
+///
+/// # Panics
+///
+/// Panics if any row's length differs from `a`'s.
+pub fn dot_f32_x4(a: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
+    assert!(rows.iter().all(|b| b.len() == a.len()), "dot_f32_x4 length mismatch");
+    dispatch!(dot_f32_x4(a, rows))
+}
+
+/// Correspondences counted between two checks of [`rigid_inlier_count`]'s
+/// bail condition.
+const INLIER_BLOCK: usize = 64;
+
+/// Counts correspondences `k` whose rigid image lies within the threshold:
+///
+/// ```text
+/// px = (cos·sx[k] − sin·sy[k]) + tx
+/// py = (sin·sx[k] + cos·sy[k]) + ty
+/// (px − dx[k])² + (py − dy[k])² <= thresh_sq
+/// ```
+///
+/// evaluated operation for operation as written (no FMA), so a NaN
+/// residual never counts. Returns `None` — abandoning the scan after the
+/// 64-correspondence block where it becomes certain — exactly when the
+/// count is `<= bound`, i.e. when even scoring every remaining
+/// correspondence as an inlier could not lift it above `bound`; otherwise
+/// the exact count. The blocking changes only how early `None` is
+/// returned, never which value is.
+///
+/// # Panics
+///
+/// Panics if the four slices differ in length.
+#[allow(clippy::too_many_arguments)] // flat scalar lanes keep the kernel SIMD-friendly
+pub fn rigid_inlier_count(
+    sx: &[f64],
+    sy: &[f64],
+    dx: &[f64],
+    dy: &[f64],
+    cos: f64,
+    sin: f64,
+    tx: f64,
+    ty: f64,
+    thresh_sq: f64,
+    bound: usize,
+) -> Option<usize> {
+    let n = sx.len();
+    assert!(
+        sy.len() == n && dx.len() == n && dy.len() == n,
+        "rigid_inlier_count lane length mismatch"
+    );
+    dispatch!(rigid_inlier_count(sx, sy, dx, dy, cos, sin, tx, ty, thresh_sq, bound))
 }
 
 /// Per-hypothesis soft-bin lookup table: for every raw MIM orientation

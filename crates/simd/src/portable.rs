@@ -152,6 +152,48 @@ pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
     s
 }
 
+/// Scalar [`dot_f32_x4`](crate::dot_f32_x4): [`dot_f32`] against each of
+/// the four rows in turn.
+pub fn dot_f32_x4(a: &[f32], rows: [&[f32]; 4]) -> [f32; 4] {
+    rows.map(|b| dot_f32(a, b))
+}
+
+/// Scalar [`rigid_inlier_count`](crate::rigid_inlier_count): the RANSAC
+/// transform-and-count loop, checking the bail condition after every
+/// 64-correspondence block.
+#[allow(clippy::too_many_arguments)]
+pub fn rigid_inlier_count(
+    sx: &[f64],
+    sy: &[f64],
+    dx: &[f64],
+    dy: &[f64],
+    cos: f64,
+    sin: f64,
+    tx: f64,
+    ty: f64,
+    thresh_sq: f64,
+    bound: usize,
+) -> Option<usize> {
+    let n = sx.len();
+    let mut count = 0usize;
+    let mut k = 0usize;
+    while k < n {
+        let end = (k + crate::INLIER_BLOCK).min(n);
+        for idx in k..end {
+            let px = (cos * sx[idx] - sin * sy[idx]) + tx;
+            let py = (sin * sx[idx] + cos * sy[idx]) + ty;
+            let ex = px - dx[idx];
+            let ey = py - dy[idx];
+            count += usize::from(ex * ex + ey * ey <= thresh_sq);
+        }
+        k = end;
+        if count + (n - k) <= bound {
+            return None;
+        }
+    }
+    Some(count)
+}
+
 /// Scalar [`rebin_row`](crate::rebin_row): table-driven soft binning with
 /// in-order scalar scatter.
 #[allow(clippy::too_many_arguments)]

@@ -310,3 +310,116 @@ proptest! {
         }
     }
 }
+
+/// One correspondence lane value: mostly finite, with NaN and ±∞ mixed in.
+fn lane64() -> impl Strategy<Value = f64> {
+    (0u8..11, -300.0f64..300.0).prop_map(|(pick, v)| match pick {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        _ => v,
+    })
+}
+
+/// Checks `rigid_inlier_count` (dispatched, and AVX2 when available)
+/// against the portable twin at `bound`.
+#[allow(clippy::too_many_arguments)]
+fn check_inlier_count(
+    sx: &[f64],
+    sy: &[f64],
+    dx: &[f64],
+    dy: &[f64],
+    model: (f64, f64, f64, f64),
+    thresh_sq: f64,
+    bound: usize,
+) -> proptest::test_runner::TestCaseResult {
+    let (c, s, tx, ty) = model;
+    let want =
+        bba_simd::portable::rigid_inlier_count(sx, sy, dx, dy, c, s, tx, ty, thresh_sq, bound);
+    let got = bba_simd::rigid_inlier_count(sx, sy, dx, dy, c, s, tx, ty, thresh_sq, bound);
+    prop_assert_eq!(want, got, "dispatched, bound {}", bound);
+    #[cfg(target_arch = "x86_64")]
+    if bba_simd::avx2_detected() {
+        let got = unsafe {
+            bba_simd::avx2::rigid_inlier_count(sx, sy, dx, dy, c, s, tx, ty, thresh_sq, bound)
+        };
+        prop_assert_eq!(want, got, "avx2, bound {}", bound);
+    }
+    Ok(())
+}
+
+/// `to_bits` equality, except that any two NaNs agree: Rust leaves the
+/// sign and payload of a NaN produced by arithmetic unspecified.
+fn same_f32(a: f32, b: f32) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn rigid_inlier_count_exact_at_every_bound(
+        n in 0usize..301,
+        seed in proptest::collection::vec(lane64(), 4..64),
+        yaw in -3.2f64..3.2,
+        t in (-50.0f64..50.0, -50.0f64..50.0),
+        thresh_sq in prop_oneof![0.0f64..400.0, Just(0.0), Just(f64::INFINITY), Just(f64::NAN)],
+        noise in 0.0f64..20.0,
+    ) {
+        // Destinations are the model image of the sources plus a spread of
+        // residuals, so counts land anywhere between 0 and n.
+        let (s, c) = yaw.sin_cos();
+        let at = |k: usize, lane: usize| seed[(k * 4 + lane) % seed.len()] + (k % 17) as f64;
+        let sx: Vec<f64> = (0..n).map(|k| at(k, 0)).collect();
+        let sy: Vec<f64> = (0..n).map(|k| at(k, 1)).collect();
+        let dx: Vec<f64> = (0..n)
+            .map(|k| (c * sx[k] - s * sy[k]) + t.0 + noise * ((k % 7) as f64 - 3.0))
+            .collect();
+        let dy: Vec<f64> = (0..n)
+            .map(|k| (s * sx[k] + c * sy[k]) + t.1 + noise * ((k % 5) as f64 - 2.0) + at(k, 3) * 1e-3)
+            .collect();
+        let model = (c, s, t.0, t.1);
+        let full = bba_simd::portable::rigid_inlier_count(&sx, &sy, &dx, &dy, c, s, t.0, t.1, thresh_sq, 0)
+            .unwrap_or(0);
+        for bound in [0, full.saturating_sub(1), full, full + 1, n] {
+            check_inlier_count(&sx, &sy, &dx, &dy, model, thresh_sq, bound)?;
+        }
+    }
+
+    #[test]
+    fn dot_f32_x4_matches_dot_f32_per_row(
+        len in 0usize..301,
+        vals in proptest::collection::vec(
+            (0u8..11, finite32()).prop_map(|(pick, v)| match pick {
+                0 => f32::NAN,
+                1 => f32::INFINITY,
+                2 => f32::NEG_INFINITY,
+                _ => v,
+            }),
+            5..80,
+        ),
+    ) {
+        let row = |r: usize| -> Vec<f32> {
+            (0..len).map(|i| vals[(i * 5 + r * 3) % vals.len()] * (1.0 + r as f32 * 0.5)).collect()
+        };
+        let a = row(0);
+        let b: Vec<Vec<f32>> = (1..=4).map(row).collect();
+        let rows = [&b[0][..], &b[1][..], &b[2][..], &b[3][..]];
+        let want = bba_simd::portable::dot_f32_x4(&a, rows);
+        for (r, w) in want.iter().enumerate() {
+            let one = bba_simd::portable::dot_f32(&a, rows[r]);
+            prop_assert!(same_f32(*w, one), "twin row {}: {} vs {}", r, w, one);
+        }
+        let got = bba_simd::dot_f32_x4(&a, rows);
+        for r in 0..4 {
+            prop_assert!(same_f32(want[r], got[r]), "dispatched row {}: {} vs {}", r, want[r], got[r]);
+        }
+        #[cfg(target_arch = "x86_64")]
+        if bba_simd::avx2_detected() {
+            let got = unsafe { bba_simd::avx2::dot_f32_x4(&a, rows) };
+            for r in 0..4 {
+                prop_assert!(same_f32(want[r], got[r]), "avx2 row {}: {} vs {}", r, want[r], got[r]);
+            }
+        }
+    }
+}
